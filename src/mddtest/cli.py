@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: ``test`` (one dataset, one p-value), ``simulate`` (a grid of
-Monte Carlo cells), ``bench`` (engine timing and agreement) and
-``adjust`` (Benjamini-Hochberg over a batch of p-values).
+Monte Carlo cells) and ``adjust`` (Benjamini-Hochberg over a batch of
+p-values).  Timing lives outside the package, in ``perfbench/``.
 
 Exit codes: 0 on success, 2 on malformed input, 3 on a distance or
 point-space violation, 4 on an internal failure.
@@ -31,7 +31,7 @@ from .errors import (
     TooFewSamples,
 )
 from .estimator import LabelVector, build_ranks
-from .harness import GridCell, bench_estimators, run_grid
+from .harness import GridCell, run_grid
 from .inference import bh_adjust, fresh_seed, permutation_test
 from .metrics import PointSet, load_precomputed
 
@@ -89,12 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--threads", type=int, default=1)
     p_sim.add_argument("--output", default=None, help="write the machine-readable report here")
     p_sim.add_argument("--format", choices=("json", "csv", "text"), default="json")
-
-    p_bench = sub.add_parser("bench", help="time the estimator engines")
-    p_bench.add_argument("--sizes", default="50,100,200", help="comma list of sample sizes")
-    p_bench.add_argument("--classes", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--output", default=None, help="write a JSON report here")
 
     p_adj = sub.add_parser("adjust", help="Benjamini-Hochberg adjust a batch of p-values")
     p_adj.add_argument(
@@ -200,46 +194,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise InvalidSpec(f"--sizes must be a comma list of integers, got {args.sizes!r}")
-    if not sizes or min(sizes) < 2 * args.classes:
-        raise InvalidSpec("every bench size must be at least 2 * classes")
-    report = bench_estimators(sizes, R=args.classes, seed=args.seed)
-    print(f"{'n':>6}  {'naive_s':>10}  {'build_s':>10}  {'fast_eval_s':>12}  {'max_diff':>10}")
-    for row in report.rows:
-        print(
-            f"{row.n:>6}  {row.naive_seconds:>10.4f}  {row.build_seconds:>10.4f}  "
-            f"{row.fast_eval_seconds:>12.5f}  {row.max_abs_diff:>10.2e}"
-        )
-    if report.fast_exponent is not None:
-        print(
-            f"fit exponents: naive ~ n^{report.naive_exponent:.2f}, "
-            f"fast eval ~ n^{report.fast_exponent:.2f}"
-        )
-    if args.output is not None:
-        fileio.write_json(
-            args.output,
-            {
-                "rows": [
-                    {
-                        "n": row.n,
-                        "naive_seconds": row.naive_seconds,
-                        "build_seconds": row.build_seconds,
-                        "fast_eval_seconds": row.fast_eval_seconds,
-                        "max_abs_diff": row.max_abs_diff,
-                    }
-                    for row in report.rows
-                ],
-                "fast_exponent": report.fast_exponent,
-                "naive_exponent": report.naive_exponent,
-            },
-        )
-    return 0
-
-
 def _cmd_adjust(args) -> int:
     source = Path(args.input)
     if source.is_dir():
@@ -303,8 +257,6 @@ def main(argv=None) -> int:
             return _cmd_test(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         return _cmd_adjust(args)
     except MetricError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,6 @@ class SizeMismatch(MddError, ValueError):
     """Paired inputs disagree on the number of observations."""
 
 
-class IndexOutOfRange(MddError, IndexError):
-    """An observation index falls outside 0..n-1."""
-
-
 class TooFewSamples(MddError, ValueError):
     """The operation needs more observations than were supplied."""
 

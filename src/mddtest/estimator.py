@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidLabels, SizeMismatch
+from .errors import InvalidLabels, SizeMismatch
 from .metrics import DistanceMatrix, _freeze
 
 
@@ -100,10 +100,15 @@ class LabelVector:
 
     @classmethod
     def from_values(cls, values) -> "LabelVector":
-        """Encode arbitrary label values as 0..R-1 by sorted unique order."""
+        """Encode arbitrary label values as 0..R-1 by sorted unique order.
+
+        NaN is a missing label, not a class, and is rejected.
+        """
         arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidLabels("labels must form a non-empty 1-d vector")
+        if np.issubdtype(arr.dtype, np.inexact) and np.isnan(arr).any():
+            raise InvalidLabels("labels hold NaN; missing labels are not supported")
         uniques, codes = np.unique(arr, return_inverse=True)
         return cls(codes.astype(np.int64), uniques.size)
 
@@ -127,18 +132,6 @@ class RankStructure:
     sorted_counts: np.ndarray
     inclusive_counts: np.ndarray
     n: int
-
-    def tie_groups(self, i: int) -> list[tuple[int, int]]:
-        """Maximal runs ``[start, stop)`` of equal distance in sorted row ``i``."""
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"row index {i} outside 0..{self.n - 1}")
-        ends = np.unique(self.sorted_counts[i])
-        groups = []
-        start = 0
-        for end in ends:
-            groups.append((start, int(end)))
-            start = int(end)
-        return groups
 
 
 @dataclass(frozen=True)
@@ -292,47 +285,3 @@ def fast_statistic_value(
     n = ranks.n
     sums = _fast_terms(ranks, codes, counts, include_diagonal)
     return float((proportions * sums).sum() / (n * n))
-
-
-@dataclass(frozen=True)
-class ConditionalCdfTable:
-    """Ball CDF values for one centre ``i`` against every radius ``d(i, j)``.
-
-    ``f[j]`` is ``F(i, j)``; ``f_by_class[r, j]`` is ``F_r(i, j)``.
-    The integer numerators are kept alongside (``ball_counts[j]`` out
-    of ``n``; ``class_ball_counts[r, j]`` out of ``counts[r]``) so that
-    exact rational identities can be checked downstream.
-    """
-
-    i: int
-    f: np.ndarray
-    f_by_class: np.ndarray
-    ball_counts: np.ndarray
-    class_ball_counts: np.ndarray
-
-
-def conditional_cdfs(
-    ranks: RankStructure, labels: LabelVector, i: int
-) -> ConditionalCdfTable:
-    """Tabulate ``F(i, j)`` and ``F_r(i, j)`` for all ``j`` and ``r``."""
-    _check_sizes(ranks.n, labels)
-    n = ranks.n
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"observation index {i} outside 0..{n - 1}")
-    pos = ranks.sorted_counts[i] - 1
-    ball_counts = ranks.inclusive_counts[i]
-    class_ball_counts = np.empty((labels.num_classes, n), dtype=np.int64)
-    for r in range(labels.num_classes):
-        member = labels.codes[ranks.order[i]] == r
-        cum = np.cumsum(member, dtype=np.int64)
-        by_sorted = cum[pos]
-        class_ball_counts[r, ranks.order[i]] = by_sorted
-    f = ball_counts / n
-    f_by_class = class_ball_counts / labels.counts[:, None]
-    return ConditionalCdfTable(
-        i=i,
-        f=_freeze(f),
-        f_by_class=_freeze(f_by_class),
-        ball_counts=_freeze(ball_counts.copy()),
-        class_ball_counts=_freeze(class_ball_counts),
-    )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, GridConfigError, OutOfRangePValue
-from .harness import ExperimentGrid, GridCell, TableReport
+from .harness import ExperimentGrid, GridCell
 from .inference import TestResult
 from .simulate import ScenarioSpec
 
@@ -352,7 +352,3 @@ def load_preset(name: str) -> ExperimentGrid:
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
     return grid_from_dict(json.loads(candidate.read_text("utf-8")))
-
-
-def report_json_dict(report: TableReport) -> dict:
-    return report.to_json_dict()

@@ -9,6 +9,7 @@ replicate share the same data and the same permutation streams.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -21,14 +22,8 @@ from .baselines import (
     hhg_statistic_discrete,
 )
 from .errors import InvalidReps, InvalidSpec
-from .estimator import (
-    LabelVector,
-    build_ranks,
-    estimate_fast,
-    estimate_naive,
-    fast_statistic_value,
-)
-from .inference import draw_label_permutations, pvalue_from_null
+from .estimator import LabelVector, build_ranks, fast_statistic_value
+from .inference import _permutation_null, draw_label_permutations
 from .metrics import (
     DistanceMatrix,
     PointSet,
@@ -124,35 +119,29 @@ def _replicate_pvalues(
 
     All tests see the same permutation streams.
     """
-    n = d.n
-    perms = draw_label_permutations(n, permutations, perm_seed)
-    counts = labels.counts.astype(np.float64)
-    proportions = labels.proportions
-    codes = labels.codes
-    out: dict[str, float] = {}
-    ranks = build_ranks(d) if ("mdd" in tests or "hhg" in tests) else None
+    perms = draw_label_permutations(d.n, permutations, perm_seed)
+    statistics = {}
+    if "mdd" in tests or "hhg" in tests:
+        ranks = build_ranks(d)
     if "mdd" in tests:
-        observed = fast_statistic_value(ranks, codes, counts, proportions)
-        null = np.empty(permutations)
-        for b in range(permutations):
-            null[b] = fast_statistic_value(ranks, codes[perms[b]], counts, proportions)
-        out["mdd"] = pvalue_from_null(observed, null)
+        counts = labels.counts.astype(np.float64)
+        statistics["mdd"] = lambda codes: fast_statistic_value(
+            ranks, codes, counts, labels.proportions
+        )
     if "dcov" in tests:
         a = double_center(d.values)
         b0 = double_center(discrete_label_distances(labels).values)
-        observed = float(np.mean(a * b0))
-        null = np.empty(permutations)
-        for b in range(permutations):
-            p = perms[b]
-            null[b] = float(np.mean(a * b0[np.ix_(p, p)]))
-        out["dcov"] = pvalue_from_null(observed, null)
+        # an entry of the double-centred label matrix depends only on the
+        # pair of classes, so an R x R table replaces the n x n gather
+        first = np.unique(labels.codes, return_index=True)[1]
+        table = b0[np.ix_(first, first)]
+        statistics["dcov"] = lambda codes: np.mean(a * table[np.ix_(codes, codes)])
     if "hhg" in tests:
-        observed = hhg_statistic_discrete(ranks, codes, labels.counts)
-        null = np.empty(permutations)
-        for b in range(permutations):
-            null[b] = hhg_statistic_discrete(ranks, codes[perms[b]], labels.counts)
-        out["hhg"] = pvalue_from_null(observed, null)
-    return out
+        statistics["hhg"] = lambda codes: hhg_statistic_discrete(ranks, codes, labels.counts)
+    return {
+        test: _permutation_null(statistic, labels.codes, perms)[2]
+        for test, statistic in statistics.items()
+    }
 
 
 def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> tuple[int, int, dict[str, float]]:
@@ -280,8 +269,8 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
     """Execute every cell of a grid and aggregate rejection frequencies.
 
     ``threads > 1`` fans (cell, replicate) tasks out to worker
-    processes; aggregation is by task index, so the thread count never
-    changes the report.
+    processes, at most one per task and per CPU; aggregation is by task
+    index, so the thread count never changes the report.
     """
     start = time.perf_counter()
     tasks = []
@@ -289,9 +278,10 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
         reps = cell.reps if cell.reps is not None else grid.reps
         for rep in range(reps):
             tasks.append((grid, cell_index, rep))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(tasks) // (8 * threads))
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (8 * workers))
             outcomes = list(pool.map(_run_replicate, tasks, chunksize=chunk))
     else:
         outcomes = [_run_replicate(task) for task in tasks]
@@ -324,69 +314,3 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
     }
     elapsed = time.perf_counter() - start
     return TableReport(cells=cells, config=config, elapsed_seconds=elapsed)
-
-
-@dataclass(frozen=True)
-class BenchRow:
-    n: int
-    naive_seconds: float
-    build_seconds: float
-    fast_eval_seconds: float
-    max_abs_diff: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Timing and agreement of the two estimator engines.
-
-    ``fast_exponent`` and ``naive_exponent`` are least-squares slopes
-    of log time against log n (eval time for the fast engine).
-    """
-
-    rows: tuple[BenchRow, ...]
-    fast_exponent: float | None
-    naive_exponent: float | None
-
-
-def bench_estimators(n_grid, R: int = 3, seed: int = 0) -> BenchReport:
-    """Time the naive and rank-based engines on matched Gaussian draws.
-
-    Also asserts that the engines agree to 1e-12 on every instance;
-    the returned rows carry the observed maximum difference.
-    """
-    rows = []
-    for idx, n in enumerate(n_grid):
-        spec = ScenarioSpec(scenario="sim2", column=3, R=R, n=int(n), dim=3)
-        points, labels = generate(spec, seed=seed + idx)
-        d = euclidean_distances(points)
-        t0 = time.perf_counter()
-        naive = estimate_naive(d, labels)
-        t1 = time.perf_counter()
-        ranks = build_ranks(d)
-        t2 = time.perf_counter()
-        fast = estimate_fast(ranks, labels)
-        t3 = time.perf_counter()
-        diff = abs(naive.value - fast.value)
-        for a, b in zip(naive.per_class, fast.per_class):
-            diff = max(diff, abs(a - b))
-        if diff > 1e-12:
-            raise AssertionError(
-                f"estimator engines disagree at n={n}: |difference| = {diff:.3e}"
-            )
-        rows.append(
-            BenchRow(
-                n=int(n),
-                naive_seconds=t1 - t0,
-                build_seconds=t2 - t1,
-                fast_eval_seconds=t3 - t2,
-                max_abs_diff=diff,
-            )
-        )
-    if len(rows) > 1:
-        logn = np.log([row.n for row in rows])
-        fast_exp = float(np.polyfit(logn, np.log([row.fast_eval_seconds for row in rows]), 1)[0])
-        naive_exp = float(np.polyfit(logn, np.log([row.naive_seconds for row in rows]), 1)[0])
-    else:
-        fast_exp = None
-        naive_exp = None
-    return BenchReport(rows=tuple(rows), fast_exponent=fast_exp, naive_exponent=naive_exp)

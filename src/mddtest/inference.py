@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import secrets
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
 from .estimator import (
     LabelVector,
     RankStructure,
+    build_ranks,
     estimate_fast,
     fast_statistic_value,
 )
@@ -94,6 +95,15 @@ def pvalue_from_null(observed: float, null_stats: np.ndarray) -> float:
     return (1 + ge) / (b + 1)
 
 
+def _permutation_null(
+    statistic: Callable[[np.ndarray], float], codes: np.ndarray, perms: np.ndarray
+) -> tuple[float, np.ndarray, float]:
+    """The observed statistic, its null over the rows of ``perms`` and the p-value."""
+    observed = float(statistic(codes))
+    null = np.array([statistic(codes[perm]) for perm in perms], dtype=np.float64)
+    return observed, null, pvalue_from_null(observed, null)
+
+
 def permutation_test_statistic(
     statistic: Callable[[np.ndarray], float],
     labels: LabelVector,
@@ -118,12 +128,8 @@ def permutation_test_statistic(
             "and the permutation p-value is 1",
             DegenerateLabelsWarning,
         )
-    observed = float(statistic(labels.codes))
     perms = draw_label_permutations(labels.n, permutations, seed)
-    null = np.empty(permutations)
-    for b in range(permutations):
-        null[b] = statistic(labels.codes[perms[b]])
-    p = pvalue_from_null(observed, null)
+    observed, null, p = _permutation_null(statistic, labels.codes, perms)
     return TestResult(
         statistic=observed,
         scaled=labels.n * observed,
@@ -145,7 +151,13 @@ def permutation_test(
     retain_null: bool = False,
     include_diagonal: bool = True,
 ) -> TestResult:
-    """Permutation test of the MDD statistic against label exchange."""
+    """Permutation test of the MDD statistic against label exchange.
+
+    The null is compared with the observed value of the same hot-path
+    evaluation, ``fast_statistic_value``; the reported statistic and its
+    per-class terms come from ``estimate_fast``, which sums in another
+    order and may differ from it in the last bits.
+    """
     est = estimate_fast(ranks, labels, include_diagonal=include_diagonal)
     counts = labels.counts.astype(np.float64)
     proportions = labels.proportions
@@ -162,17 +174,8 @@ def permutation_test(
         seed=seed,
         retain_null=retain_null,
     )
-    return TestResult(
-        statistic=est.value,
-        scaled=labels.n * est.value,
-        p_value=result.p_value,
-        permutations=result.permutations,
-        seed=result.seed,
-        n=result.n,
-        num_classes=result.num_classes,
-        method=result.method,
-        per_class=est.per_class,
-        null_stats=result.null_stats,
+    return replace(
+        result, statistic=est.value, scaled=labels.n * est.value, per_class=est.per_class
     )
 
 
@@ -218,6 +221,27 @@ class ScalingReport:
     max_min_ratio: float | None
 
 
+def _diagnostic_estimates(
+    generator: Generator, sizes: Sequence[int], reps: int, seed: int
+) -> list[np.ndarray]:
+    """Statistic values of ``reps`` fresh replicates at each sample size.
+
+    Replicate ``rep`` at position ``idx`` of ``sizes`` draws its data
+    seed from the ``(seed, idx * reps + rep)`` substream.
+    """
+    out = []
+    for idx, n in enumerate(sizes):
+        values = np.empty(reps)
+        for rep in range(reps):
+            rep_seed = int(
+                _substream(seed, idx * reps + rep).integers(0, 2**63, dtype=np.int64)
+            )
+            d, labels = generator(n, rep_seed)
+            values[rep] = estimate_fast(build_ranks(d), labels).value
+        out.append(values)
+    return out
+
+
 def scaling_diagnostic(
     generator: Generator,
     n_grid: Sequence[int],
@@ -236,18 +260,8 @@ def scaling_diagnostic(
     grid = tuple(int(n) for n in n_grid)
     if len(grid) == 0:
         raise InvalidReps("n_grid must be non-empty")
-    from .estimator import build_ranks  # local import to keep module load light
-
-    medians = []
-    for idx, n in enumerate(grid):
-        values = np.empty(reps)
-        for rep in range(reps):
-            rep_seed = int(
-                _substream(seed, idx * reps + rep).integers(0, 2**63, dtype=np.int64)
-            )
-            d, labels = generator(n, rep_seed)
-            values[rep] = n * estimate_fast(build_ranks(d), labels).value
-        medians.append(float(np.median(values)))
+    estimates = _diagnostic_estimates(generator, grid, reps, seed)
+    medians = [float(np.median(n * values)) for n, values in zip(grid, estimates)]
     if len(grid) > 1:
         increasing = all(b > a for a, b in zip(medians, medians[1:]))
         ratio = max(medians) / min(medians) if min(medians) > 0 else float("inf")
@@ -293,20 +307,11 @@ def clt_diagnostic(
         raise InvalidReps(
             f"CLT diagnostic needs at least {MIN_CLT_REPS} replicates, got {reps}"
         )
-    from .estimator import build_ranks
-
-    values = {n: np.empty(reps), 2 * n: np.empty(reps)}
-    for idx, size in enumerate((n, 2 * n)):
-        for rep in range(reps):
-            rep_seed = int(
-                _substream(seed, idx * reps + rep).integers(0, 2**63, dtype=np.int64)
-            )
-            d, labels = generator(size, rep_seed)
-            values[size][rep] = estimate_fast(build_ranks(d), labels).value
-    var_small = float(values[n].var(ddof=1))
-    var_large = float(values[2 * n].var(ddof=1))
-    mean_estimate = float(values[n].mean())
-    stderr = float(values[n].std(ddof=1) / np.sqrt(reps))
+    small, large = _diagnostic_estimates(generator, (n, 2 * n), reps, seed)
+    var_small = float(small.var(ddof=1))
+    var_large = float(large.var(ddof=1))
+    mean_estimate = float(small.mean())
+    stderr = float(small.std(ddof=1) / np.sqrt(reps))
     ratio = var_small / var_large if var_large > 0 else float("inf")
     h0_like = mean_estimate < 3 * stderr
     note = (

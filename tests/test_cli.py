@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mddtest import InvalidLabels, LabelVector
 from mddtest.cli import main
 from mddtest.fileio import read_csv_rows, validate_result_dict
 
@@ -143,6 +144,20 @@ def test_test_command_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_nan_labels_are_rejected(tmp_path, capsys):
+    with pytest.raises(InvalidLabels):
+        LabelVector.from_values(np.array([0.0, 1.0, np.nan, np.nan, 1.0, 0.0]))
+    points = write(tmp_path / "p.csv", "0\n1\n2\n3\n4\n5\n")
+    labels = write(tmp_path / "l.csv", "0\n1\nnan\nNaN\n1\n0\n")
+    rc = main([
+        "test", "--points", points, "--labels", labels, "--permutations", "5",
+        "--seed", "1", "--output", str(tmp_path / "r.json"),
+    ])
+    assert rc == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 GRID = {
     "seed": 5,
     "reps": 2,
@@ -235,25 +250,6 @@ def test_simulate_error_exits(tmp_path, capsys):
     assert main(["simulate", "--grid", grid, "--threads", "0"]) == 2
     bad = write(tmp_path / "bad.json", "{oops")
     assert main(["simulate", "--grid", bad]) == 2
-    capsys.readouterr()
-
-
-def test_bench_command(tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    rc = main(["bench", "--sizes", "16,32", "--classes", "2", "--seed", "4",
-               "--output", str(out)])
-    assert rc == 0
-    stdout = capsys.readouterr().out
-    assert "fit exponents" in stdout
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    assert [row["n"] for row in payload["rows"]] == [16, 32]
-    assert all(row["max_abs_diff"] <= 1e-12 for row in payload["rows"])
-    assert isinstance(payload["fast_exponent"], float)
-
-
-def test_bench_error_exits(capsys):
-    assert main(["bench", "--sizes", "a,b"]) == 2
-    assert main(["bench", "--sizes", "4,8", "--classes", "3"]) == 2
     capsys.readouterr()
 
 

@@ -7,12 +7,10 @@ from conftest import exact_statistic, random_distances, random_labels
 
 from mddtest import (
     DistanceMatrix,
-    IndexOutOfRange,
     InvalidLabels,
     LabelVector,
     SizeMismatch,
     build_ranks,
-    conditional_cdfs,
     estimate_fast,
     estimate_naive,
     fast_statistic_value,
@@ -53,9 +51,6 @@ def test_rank_structure_worked_row():
     assert ranks.sorted_counts[0].tolist() == [1, 3, 3, 4]
     # stable sort keeps the original order of the tied columns 2 and 3
     assert ranks.order[0].tolist() == [0, 2, 3, 1]
-    assert ranks.tie_groups(0) == [(0, 1), (1, 3), (3, 4)]
-    with pytest.raises(IndexOutOfRange):
-        ranks.tie_groups(4)
 
 
 def test_engines_match_exact_reference_on_small_instances():
@@ -163,29 +158,6 @@ def test_class_rename_permutes_per_class_terms():
         assert moved.per_class[mapping[r]] == base.per_class[r]
 
 
-def test_conditional_cdfs_mixture_identity():
-    rng = np.random.default_rng(29)
-    for ties in (False, True):
-        d = random_distances(rng, 9, ties=ties)
-        labels = random_labels(rng, 9, 3)
-        ranks = build_ranks(d)
-        for i in range(9):
-            table = conditional_cdfs(ranks, labels, i)
-            assert table.i == i
-            # class ball counts partition the overall ball count exactly
-            assert np.array_equal(
-                table.class_ball_counts.sum(axis=0), table.ball_counts
-            )
-            member = d.values[i][None, :] <= d.values[i][:, None]
-            assert np.array_equal(table.ball_counts, member.sum(axis=1))
-            assert np.array_equal(table.f, table.ball_counts / 9)
-            for r in range(3):
-                brute = (member & (labels.codes[None, :] == r)).sum(axis=1)
-                assert np.array_equal(table.class_ball_counts[r], brute)
-    with pytest.raises(IndexOutOfRange):
-        conditional_cdfs(ranks, labels, 9)
-
-
 def test_value_equals_sum_of_per_class():
     rng = np.random.default_rng(31)
     d = random_distances(rng, 14)
@@ -221,8 +193,6 @@ def test_size_mismatch_rejected():
         estimate_naive(d, labels)
     with pytest.raises(SizeMismatch):
         estimate_fast(build_ranks(d), labels)
-    with pytest.raises(SizeMismatch):
-        conditional_cdfs(build_ranks(d), labels, 0)
 
 
 def test_label_vector_validation():

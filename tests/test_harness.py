@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mddtest import (
     InvalidSpec,
     PointSet,
     ScenarioSpec,
-    bench_estimators,
     build_ranks,
     dcov_statistic,
     discrete_label_distances,
@@ -18,6 +19,7 @@ from mddtest import (
     fast_statistic_value,
     generate,
     hhg_statistic_discrete,
+    permutation_test,
     pvalue_from_null,
     run_grid,
     shape_distances,
@@ -25,7 +27,8 @@ from mddtest import (
     unit_sphere_embedding,
 )
 from mddtest.fileio import dump_json
-from mddtest.harness import _cell_seeds
+from mddtest import harness
+from mddtest.harness import _cell_seeds, _run_replicate
 
 
 def small_grid(**overrides):
@@ -117,11 +120,18 @@ def test_run_grid_matches_manual_replication():
                     ranks, codes, labels.counts
                 ),
             }
+            pvals = _run_replicate((grid, cell_index, rep))[2]
+            assert set(pvals) == set(grid.tests)
             for test, stat in stats.items():
                 observed = stat(labels.codes)
                 null = np.array([stat(labels.codes[p]) for p in perms])
-                if pvalue_from_null(observed, null) <= grid.alpha:
-                    expected[test] += 1
+                oracle = pvalue_from_null(observed, null)
+                assert pvals[test] == oracle, (cell_index, rep, test)
+                expected[test] += oracle <= grid.alpha
+            single = permutation_test(
+                ranks, labels, permutations=grid.permutations, seed=perm_seed
+            )
+            assert single.p_value == pvals["mdd"]
         assert report.cells[cell_index].rejections == expected
         assert report.cells[cell_index].reps == 2
 
@@ -204,15 +214,30 @@ def test_experiment_grid_validation():
         ExperimentGrid(cells=(cell,), sphere_metric="chordal")
 
 
-def test_bench_estimators_agreement():
-    report = bench_estimators((24, 48), R=2, seed=3)
-    assert tuple(row.n for row in report.rows) == (24, 48)
-    for row in report.rows:
-        assert row.max_abs_diff <= 1e-12
-        assert row.naive_seconds >= 0.0
-        assert row.build_seconds >= 0.0
-        assert row.fast_eval_seconds >= 0.0
-    assert np.isfinite(report.fast_exponent)
-    assert np.isfinite(report.naive_exponent)
-    single = bench_estimators((20,), R=2, seed=3)
-    assert single.fast_exponent is None and single.naive_exponent is None
+def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool; runs tasks in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    grid = small_grid(reps=2, permutations=9, tests=("mdd",))  # 4 tasks
+    reference = dump_json(run_grid(grid).to_json_dict())
+    for cpus, threads in ((8, 10**6), (3, 10**6), (8, 2), (None, 10**6)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = run_grid(grid, threads=threads)
+        assert dump_json(report.to_json_dict()) == reference
+    # min(threads, tasks, cpus); an unknown CPU count runs in-process
+    assert pools == [4, 3, 2]
