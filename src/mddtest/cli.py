@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
@@ -31,8 +32,8 @@ from .errors import (
     TooFewSamples,
 )
 from .estimator import LabelVector, build_ranks
-from .harness import GridCell, run_grid
-from .inference import bh_adjust, fresh_seed, permutation_test
+from .harness import GridCell, distances_for, run_grid
+from .inference import bh_adjust, permutation_test
 from .metrics import PointSet, load_precomputed
 
 _INPUT_ERRORS = (
@@ -122,18 +123,13 @@ def _cmd_test(args) -> int:
             points = PointSet.sphere(rows)
         else:
             points = PointSet.euclidean(rows)
-        from .harness import distances_for
-
         d = distances_for(points, "geodesic" if args.metric == "sphere" else "euclidean")
     if labels.n != d.n:
         raise SizeMismatch(
             f"{args.labels} holds {labels.n} labels but the point source holds "
             f"{d.n} observations"
         )
-    seed = args.seed if args.seed is not None else fresh_seed()
-    result = permutation_test(
-        build_ranks(d), labels, permutations=args.permutations, seed=seed
-    )
+    result = permutation_test(build_ranks(d), labels, args.permutations, args.seed)
     print(
         f"MDD={result.statistic:.6g}, p={result.p_value:.6g}, "
         f"n={result.n}, R={result.num_classes}"
@@ -177,8 +173,6 @@ def _cmd_simulate(args) -> int:
     if args.tests is not None:
         overrides["tests"] = tuple(t.strip() for t in args.tests.split(",") if t.strip())
     if overrides:
-        from dataclasses import replace
-
         grid = replace(grid, **overrides)
     if args.threads < 1:
         raise InvalidSpec(f"--threads must be >= 1, got {args.threads}")

@@ -25,8 +25,12 @@ by ``n`` or ``n_r``.
 Two engines are provided.  ``estimate_naive`` evaluates the definition
 directly, one ball membership matrix per centre (O(R n^3) work), and
 serves as the oracle.  ``estimate_fast`` sorts each row once
-(O(n^2 log n)), after which every evaluation, including evaluations
-under permuted labels, costs O(R n^2).
+(O(n^2 log n)), after which an evaluation costs O(R n^2).
+
+The permutation null uses a third form.  With ``z_r`` the class-``r``
+indicator and ``K[k, l]`` the number of balls holding both ``k`` and
+``l``, the statistic is ``sum_r z_r' K z_r / (n_r n^3)`` minus a term
+that permutations leave unchanged; ``K`` costs O(n^3) once per dataset.
 """
 
 from __future__ import annotations
@@ -35,8 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidLabels, SizeMismatch
+from .errors import InvalidLabels, InvalidSpec, SizeMismatch
 from .metrics import DistanceMatrix, _freeze
+
+MAX_EXACT_N = 9741  # class forms z_r' K z_r <= n^4 are exact in float64
+_CHUNK = 1 << 17  # indicator entries scored per matrix product
 
 
 @dataclass(frozen=True)
@@ -120,17 +127,16 @@ class RankStructure:
     ``order[i]`` sorts row ``i`` of the distance matrix ascending
     (stable).  ``sorted_counts[i, t]`` is the inclusive count
     ``#{k : d(i, k) <= s_t}`` for the ``t``-th smallest distance
-    ``s_t`` in row ``i``; runs of equal sorted distances share one
-    value, so these counts double as the tie-group boundaries (a group
-    ends at position ``sorted_counts[i, t] - 1``).
-    ``inclusive_counts[i, j]`` is the same count indexed by the
-    original column ``j``, so ``inclusive_counts[i, j] / n`` is exactly
-    the empirical ball CDF ``F(i, j)``.
+    ``s_t`` in row ``i``, so ``sorted_counts[i, t] / n`` is the
+    empirical ball CDF ``F(i, order[i, t])``.  Runs of equal sorted
+    distances share one value, so these counts double as the tie-group
+    boundaries (a group ends at position ``sorted_counts[i, t] - 1``).
+    ``d(i, i) = 0`` is the row minimum, so ``sorted_counts[i, 0]`` is
+    the count of the ball ``B(i, i)``.
     """
 
     order: np.ndarray
     sorted_counts: np.ndarray
-    inclusive_counts: np.ndarray
     n: int
 
 
@@ -201,52 +207,7 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
         # right bisection on the sorted row gives #{k : d(i,k) <= s_t}
         # under exact equality, which is constant across a tie group.
         sorted_counts[i] = np.searchsorted(sorted_d[i], sorted_d[i], side="right")
-    inclusive = np.empty((n, n), dtype=np.int64)
-    np.put_along_axis(inclusive, order, sorted_counts, axis=1)
-    return RankStructure(
-        order=_freeze(order),
-        sorted_counts=_freeze(sorted_counts),
-        inclusive_counts=_freeze(inclusive),
-        n=n,
-    )
-
-
-def _class_cumulative(ranks: RankStructure, codes: np.ndarray, r: int) -> np.ndarray:
-    """Cumulative class-``r`` membership along each sorted row."""
-    member = codes[ranks.order] == r
-    return np.cumsum(member, axis=1, dtype=np.int64)
-
-
-def _fast_terms(
-    ranks: RankStructure,
-    codes: np.ndarray,
-    counts: np.ndarray,
-    include_diagonal: bool,
-) -> np.ndarray:
-    """Per-class sums ``sum_{i,j} [F_r(i,j) - F(i,j)]^2`` from the ranks.
-
-    The inner sums run in sorted-position space (a bijection of the
-    column index) with a fixed row-major, class-major accumulation
-    order, so repeated calls are bit-identical.
-    """
-    n = ranks.n
-    num_classes = counts.size
-    pos = ranks.sorted_counts - 1
-    f_all = ranks.sorted_counts / n
-    diag_pos = ranks.inclusive_counts.diagonal()[:, None] - 1
-    f_all_diag = (diag_pos[:, 0] + 1) / n
-    sums = np.empty(num_classes)
-    for r in range(num_classes):
-        cum = _class_cumulative(ranks, codes, r)
-        f_class = np.take_along_axis(cum, pos, axis=1) / counts[r]
-        diff = f_class - f_all
-        total = float(np.einsum("ij,ij->", diff, diff))
-        if not include_diagonal:
-            f_class_diag = np.take_along_axis(cum, diag_pos, axis=1)[:, 0] / counts[r]
-            d = f_class_diag - f_all_diag
-            total -= float(d @ d)
-        sums[r] = total
-    return sums
+    return RankStructure(order=_freeze(order), sorted_counts=_freeze(sorted_counts), n=n)
 
 
 def estimate_fast(
@@ -254,12 +215,22 @@ def estimate_fast(
 ) -> MddEstimate:
     """Evaluate the statistic from a prebuilt :class:`RankStructure`.
 
-    Agrees with :func:`estimate_naive` to within accumulation-order
-    rounding (at most a few ulps); each call costs O(R n^2).
+    The sums run over sorted positions in a fixed order, so repeated calls
+    are bit-identical; they agree with :func:`estimate_naive` to within
+    accumulation-order rounding (at most a few ulps).
     """
     _check_sizes(ranks.n, labels)
     n = ranks.n
-    sums = _fast_terms(ranks, labels.codes, labels.counts, include_diagonal)
+    pos = ranks.sorted_counts - 1
+    f_all = ranks.sorted_counts / n
+    sorted_codes = labels.codes[ranks.order]
+    sums = np.empty(labels.num_classes)
+    for r in range(labels.num_classes):
+        cum = np.cumsum(sorted_codes == r, axis=1, dtype=np.int64)
+        diff = np.take_along_axis(cum, pos, axis=1) / labels.counts[r] - f_all
+        sums[r] = float(np.einsum("ij,ij->", diff, diff))
+        if not include_diagonal:  # B(i, i) sits at sorted position 0
+            sums[r] -= float(diff[:, 0] @ diff[:, 0])
     per_class = labels.proportions * sums / (n * n)
     return MddEstimate(
         value=float(per_class.sum()),
@@ -269,19 +240,43 @@ def estimate_fast(
     )
 
 
-def fast_statistic_value(
-    ranks: RankStructure,
-    codes: np.ndarray,
-    counts: np.ndarray,
-    proportions: np.ndarray,
-    include_diagonal: bool = True,
-) -> float:
-    """Bare statistic value for a label coding with known class counts.
+def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndarray:
+    """``K[k, l]``, the number of balls ``B(i, j)`` holding both ``k`` and ``l``.
 
-    This is the permutation hot path: permuting labels leaves
-    ``counts`` and ``proportions`` unchanged, so they are passed in
-    rather than re-derived.
+    Point ``k`` lies in ``u_i[k] = #{j : d(i, j) >= d(i, k)}`` balls of
+    row ``i``, so ``K[k, l] = sum_i min(u_i[k], u_i[l])``.  Without the
+    diagonal the balls ``B(i, i)`` go: they are the first tie group of
+    each row, where ``u_i = n``, so capping ``u_i`` at ``n - 1``
+    subtracts ``Zero' Zero``.  Entries are at most ``n^2``, within int32.
     """
     n = ranks.n
-    sums = _fast_terms(ranks, codes, counts, include_diagonal)
-    return float((proportions * sums).sum() / (n * n))
+    if n > MAX_EXACT_N:
+        raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {n}")
+    cap = n if include_diagonal else n - 1
+    kernel = np.zeros((n, n), dtype=np.int32)
+    outer = np.empty((n, n), dtype=np.int32)
+    u = np.empty(n, dtype=np.int32)
+    for i in range(n):
+        counts = ranks.sorted_counts[i]
+        # a tie group starts where the counts of earlier groups end
+        u[ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+        np.minimum(u[:, None], u[None, :], out=outer)
+        kernel += outer
+    return kernel.astype(np.float64)
+
+
+def _class_forms(kernel: np.ndarray, codings: np.ndarray, num_classes: int) -> np.ndarray:
+    """The ``(m, R)`` forms ``z_r' K z_r`` of each row of ``codings`` and class ``r``.
+
+    One matrix product per chunk of ``_CHUNK`` indicator entries; each form
+    sums its row in a fixed order, so equal indicators give equal bits.
+    """
+    m, n = codings.shape
+    classes = np.arange(num_classes)[:, None]
+    step = max(1, _CHUNK // (n * num_classes))
+    out = np.empty((m, num_classes))
+    for start in range(0, m, step):
+        block = codings[start:start + step]
+        z = (block[:, None, :] == classes).reshape(-1, n).astype(np.float64)
+        out[start:start + step] = (z * (z @ kernel)).sum(axis=1).reshape(-1, num_classes)
+    return out

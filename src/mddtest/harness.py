@@ -4,7 +4,7 @@ Each (cell, replicate) pair draws its seeds from a spawn of the master
 seed keyed by the cell index and replicate index, so reruns with the
 same master seed are bit-identical and neither the execution order nor
 the worker count can change a result.  All tests requested for a
-replicate share the same data and the same permutation streams.
+replicate share the same data and score one batch of permuted codings.
 """
 
 from __future__ import annotations
@@ -16,14 +16,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .baselines import (
-    discrete_label_distances,
-    double_center,
-    hhg_statistic_discrete,
-)
+from .baselines import double_center, hhg_statistic_discrete
 from .errors import InvalidReps, InvalidSpec
-from .estimator import LabelVector, build_ranks, fast_statistic_value
-from .inference import _permutation_null, draw_label_permutations
+from .estimator import LabelVector, _class_forms, build_ranks
+from .inference import _mdd_keys, _permutation_null, draw_label_permutations
 from .metrics import (
     DistanceMatrix,
     PointSet,
@@ -117,29 +113,27 @@ def _replicate_pvalues(
 ) -> dict[str, float]:
     """p-values for every requested test on one dataset.
 
-    All tests see the same permutation streams.
+    With ``A`` the double-centred distances, ``dcov = -sum_r z_r' A z_r /
+    n^2``; its key sums these class forms in sorted order, so relabelling
+    a partition's classes cannot change the key's bits.
     """
     perms = draw_label_permutations(d.n, permutations, perm_seed)
     statistics = {}
     if "mdd" in tests or "hhg" in tests:
         ranks = build_ranks(d)
     if "mdd" in tests:
-        counts = labels.counts.astype(np.float64)
-        statistics["mdd"] = lambda codes: fast_statistic_value(
-            ranks, codes, counts, labels.proportions
-        )
+        statistics["mdd"] = _mdd_keys(ranks, labels)
     if "dcov" in tests:
         a = double_center(d.values)
-        b0 = double_center(discrete_label_distances(labels).values)
-        # an entry of the double-centred label matrix depends only on the
-        # pair of classes, so an R x R table replaces the n x n gather
-        first = np.unique(labels.codes, return_index=True)[1]
-        table = b0[np.ix_(first, first)]
-        statistics["dcov"] = lambda codes: np.mean(a * table[np.ix_(codes, codes)])
+        statistics["dcov"] = lambda codings: -np.sort(
+            _class_forms(a, codings, labels.num_classes), axis=1
+        ).sum(axis=1)
     if "hhg" in tests:
-        statistics["hhg"] = lambda codes: hhg_statistic_discrete(ranks, codes, labels.counts)
+        statistics["hhg"] = lambda codings: np.array(
+            [hhg_statistic_discrete(ranks, codes, labels.counts) for codes in codings]
+        )
     return {
-        test: _permutation_null(statistic, labels.codes, perms)[2]
+        test: _permutation_null(statistic, labels.codes, perms)[1]
         for test, statistic in statistics.items()
     }
 

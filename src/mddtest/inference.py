@@ -7,11 +7,14 @@ replicates are executed.  The p-value uses the add-one convention
 
     p = (1 + #{b : T_b >= T_observed}) / (B + 1),
 
-which is exact for exchangeable labels and never returns zero.
+which is exact for exchangeable labels and never returns zero.  The MDD
+null compares exact integer keys rather than float statistic values, so
+a tie ``T_b == T_observed`` always counts as a tie.
 """
 
 from __future__ import annotations
 
+import math
 import secrets
 import warnings
 from dataclasses import dataclass, replace
@@ -28,15 +31,18 @@ from .errors import (
 from .estimator import (
     LabelVector,
     RankStructure,
+    _ball_kernel,
+    _check_sizes,
+    _class_forms,
     build_ranks,
     estimate_fast,
-    fast_statistic_value,
 )
-from .metrics import _freeze
 
 DEFAULT_PERMUTATIONS = 499
 MIN_SCALING_REPS = 20
 MIN_CLT_REPS = 100
+
+BatchStatistic = Callable[[np.ndarray], np.ndarray]  # (m, n) codings -> m keys
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,6 @@ class TestResult:
     ``scaled`` is ``n * statistic``, the quantity with a nondegenerate
     null limit.  ``per_class`` is the per-class decomposition of the
     observed statistic (None for statistics that do not decompose).
-    ``null_stats`` holds the permuted statistic values when the caller
-    asked to retain them.
     """
 
     statistic: float
@@ -59,7 +63,6 @@ class TestResult:
     num_classes: int
     method: str = "permutation"
     per_class: tuple[float, ...] | None = None
-    null_stats: np.ndarray | None = None
 
 
 def _substream(seed: int, stream: int) -> np.random.Generator:
@@ -86,40 +89,50 @@ def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:
     return out
 
 
-def pvalue_from_null(observed: float, null_stats: np.ndarray) -> float:
+def pvalue_from_null(observed, null: np.ndarray) -> float:
     """Add-one permutation p-value: (1 + #{T_b >= T}) / (B + 1)."""
-    b = null_stats.size
+    b = null.size
     if b < 1:
         raise InvalidB("need at least one permutation replicate")
-    ge = int(np.count_nonzero(null_stats >= observed))
+    ge = int(np.count_nonzero(null >= observed))
     return (1 + ge) / (b + 1)
 
 
 def _permutation_null(
-    statistic: Callable[[np.ndarray], float], codes: np.ndarray, perms: np.ndarray
-) -> tuple[float, np.ndarray, float]:
-    """The observed statistic, its null over the rows of ``perms`` and the p-value."""
-    observed = float(statistic(codes))
-    null = np.array([statistic(codes[perm]) for perm in perms], dtype=np.float64)
-    return observed, null, pvalue_from_null(observed, null)
+    statistic: BatchStatistic, codes: np.ndarray, perms: np.ndarray
+) -> tuple[object, float]:
+    """The observed key and the p-value over ``perms``, all scored in one batch."""
+    keys = statistic(np.vstack([codes, codes[perms]]))
+    return keys[0], pvalue_from_null(keys[0], keys[1:])
 
 
-def permutation_test_statistic(
-    statistic: Callable[[np.ndarray], float],
+def _mdd_keys(
+    ranks: RankStructure, labels: LabelVector, include_diagonal: bool = True
+) -> BatchStatistic:
+    """Exact MDD keys ``sum_r q_r * lcm(n_1..n_R) / n_r`` of codings.
+
+    ``q_r = z_r' K z_r`` are the class forms of the ball kernel; the
+    statistic increases with the key.  Keys are Python ints, because the
+    weighted sum can overflow int64.
+    """
+    _check_sizes(ranks.n, labels)
+    kernel = _ball_kernel(ranks, include_diagonal)
+    counts = labels.counts.tolist()
+    weights = np.array([math.lcm(*counts) // c for c in counts], dtype=object)
+    return lambda codings: (
+        _class_forms(kernel, codings, labels.num_classes).astype(np.int64).astype(object)
+        @ weights
+    )
+
+
+def _run_permutations(
+    statistic: BatchStatistic,
     labels: LabelVector,
-    permutations: int = DEFAULT_PERMUTATIONS,
-    seed: int | None = None,
-    retain_null: bool = False,
+    permutations: int,
+    seed: int | None,
     method: str = "permutation",
 ) -> TestResult:
-    """Permutation test for an arbitrary statistic of the label codes.
-
-    ``statistic`` must be a pure function of a codes array (the
-    observed codes or a permutation of them).  Inputs are never
-    mutated; the same seed gives bit-identical results.
-    """
-    if permutations < 1:
-        raise InvalidB(f"permutation count must be >= 1, got {permutations}")
+    """Draw the permutations and test; the observed key is the statistic."""
     if seed is None:
         seed = fresh_seed()
     if labels.num_classes == 1:
@@ -129,18 +142,38 @@ def permutation_test_statistic(
             DegenerateLabelsWarning,
         )
     perms = draw_label_permutations(labels.n, permutations, seed)
-    observed, null, p = _permutation_null(statistic, labels.codes, perms)
+    observed, p = _permutation_null(statistic, labels.codes, perms)
     return TestResult(
-        statistic=observed,
-        scaled=labels.n * observed,
+        statistic=float(observed),
+        scaled=labels.n * float(observed),
         p_value=p,
         permutations=permutations,
         seed=seed,
         n=labels.n,
         num_classes=labels.num_classes,
         method=method,
-        null_stats=_freeze(null) if retain_null else None,
     )
+
+
+def permutation_test_statistic(
+    statistic: Callable[[np.ndarray], float],
+    labels: LabelVector,
+    permutations: int = DEFAULT_PERMUTATIONS,
+    seed: int | None = None,
+    method: str = "permutation",
+) -> TestResult:
+    """Permutation test for an arbitrary statistic of the label codes.
+
+    ``statistic`` must be a pure function of a codes array (the
+    observed codes or a permutation of them); it is evaluated once per
+    coding.  Inputs are never mutated; the same seed gives bit-identical
+    results.
+    """
+
+    def batch(codings: np.ndarray) -> np.ndarray:
+        return np.array([statistic(codes) for codes in codings], dtype=np.float64)
+
+    return _run_permutations(batch, labels, permutations, seed, method)
 
 
 def permutation_test(
@@ -148,32 +181,16 @@ def permutation_test(
     labels: LabelVector,
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int | None = None,
-    retain_null: bool = False,
     include_diagonal: bool = True,
 ) -> TestResult:
     """Permutation test of the MDD statistic against label exchange.
 
-    The null is compared with the observed value of the same hot-path
-    evaluation, ``fast_statistic_value``; the reported statistic and its
-    per-class terms come from ``estimate_fast``, which sums in another
-    order and may differ from it in the last bits.
+    The reported statistic and per-class terms come from ``estimate_fast``.
+    More than ``MAX_EXACT_N`` observations are rejected before any n^2 work.
     """
+    statistic = _mdd_keys(ranks, labels, include_diagonal)
+    result = _run_permutations(statistic, labels, permutations, seed)
     est = estimate_fast(ranks, labels, include_diagonal=include_diagonal)
-    counts = labels.counts.astype(np.float64)
-    proportions = labels.proportions
-
-    def stat(codes: np.ndarray) -> float:
-        return fast_statistic_value(
-            ranks, codes, counts, proportions, include_diagonal=include_diagonal
-        )
-
-    result = permutation_test_statistic(
-        stat,
-        labels,
-        permutations=permutations,
-        seed=seed,
-        retain_null=retain_null,
-    )
     return replace(
         result, statistic=est.value, scaled=labels.n * est.value, per_class=est.per_class
     )

@@ -13,7 +13,6 @@ from mddtest import (
     build_ranks,
     estimate_fast,
     estimate_naive,
-    fast_statistic_value,
 )
 
 TWO_POINT_D = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -47,7 +46,7 @@ def test_rank_structure_worked_row():
     ranks = build_ranks(d)
     assert ranks.n == 4
     # row 0 distances (0, 5, 2, 2): closed-ball counts by column
-    assert ranks.inclusive_counts[0].tolist() == [1, 4, 3, 3]
+    assert ranks.sorted_counts[0][np.argsort(ranks.order[0])].tolist() == [1, 4, 3, 3]
     assert ranks.sorted_counts[0].tolist() == [1, 3, 3, 4]
     # stable sort keeps the original order of the tied columns 2 and 3
     assert ranks.order[0].tolist() == [0, 2, 3, 1]
@@ -167,24 +166,6 @@ def test_value_equals_sum_of_per_class():
         assert all(v >= 0.0 for v in est.per_class)
 
 
-def test_fast_statistic_value_matches_estimate_fast():
-    rng = np.random.default_rng(37)
-    d = random_distances(rng, 11)
-    labels = random_labels(rng, 11, 3)
-    ranks = build_ranks(d)
-    counts = labels.counts.astype(np.float64)
-    value = fast_statistic_value(ranks, labels.codes, counts, labels.proportions)
-    assert abs(value - estimate_fast(ranks, labels).value) <= 1e-15
-    # permuting codes keeps the class sizes, the hot-path precondition
-    for _ in range(4):
-        p = rng.permutation(11)
-        permuted = LabelVector.from_codes(labels.codes[p], 3)
-        via_path = fast_statistic_value(
-            ranks, labels.codes[p], counts, labels.proportions
-        )
-        assert abs(via_path - estimate_fast(ranks, permuted).value) <= 1e-15
-
-
 def test_size_mismatch_rejected():
     rng = np.random.default_rng(41)
     d = random_distances(rng, 8)
@@ -226,5 +207,5 @@ def test_label_vector_encoding_and_counts():
 def test_rank_arrays_are_frozen():
     rng = np.random.default_rng(43)
     ranks = build_ranks(random_distances(rng, 6))
-    for arr in (ranks.order, ranks.sorted_counts, ranks.inclusive_counts):
+    for arr in (ranks.order, ranks.sorted_counts):
         assert not arr.flags.writeable

@@ -7,7 +7,6 @@ from mddtest import (
     CsvFormatError,
     ExperimentGrid,
     GridConfigError,
-    LabelVector,
     OutOfRangePValue,
     build_ranks,
     permutation_test,

@@ -8,6 +8,7 @@ from mddtest import (
     GridCell,
     InvalidReps,
     InvalidSpec,
+    LabelVector,
     PointSet,
     ScenarioSpec,
     build_ranks,
@@ -15,8 +16,8 @@ from mddtest import (
     discrete_label_distances,
     distances_for,
     draw_label_permutations,
+    estimate_fast,
     euclidean_distances,
-    fast_statistic_value,
     generate,
     hhg_statistic_discrete,
     permutation_test,
@@ -103,18 +104,14 @@ def test_run_grid_matches_manual_replication():
             d = distances_for(points, grid.sphere_metric)
             perms = draw_label_permutations(d.n, grid.permutations, perm_seed)
             ranks = build_ranks(d)
-            counts = labels.counts.astype(np.float64)
 
-            def mdd_value(codes):
-                return fast_statistic_value(ranks, codes, counts, labels.proportions)
+            def relabeled(codes):
+                return LabelVector.from_codes(codes, labels.num_classes)
 
             stats = {
-                "mdd": mdd_value,
+                "mdd": lambda codes: estimate_fast(ranks, relabeled(codes)).value,
                 "dcov": lambda codes: dcov_statistic(
-                    d,
-                    discrete_label_distances(
-                        type(labels).from_codes(codes, labels.num_classes)
-                    ),
+                    d, discrete_label_distances(relabeled(codes))
                 ).value,
                 "hhg": lambda codes: hhg_statistic_discrete(
                     ranks, codes, labels.counts
@@ -134,6 +131,24 @@ def test_run_grid_matches_manual_replication():
             assert single.p_value == pvals["mdd"]
         assert report.cells[cell_index].rejections == expected
         assert report.cells[cell_index].reps == 2
+
+
+def test_dcov_pvalue_matches_the_loop_oracle_on_balanced_small_samples():
+    # two points per class: relabelled copies of the observed partition are
+    # ties, and the class forms must sum to the same bits for each of them
+    perms = draw_label_permutations(6, 99, seed=1)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        d = euclidean_distances(PointSet.euclidean(rng.standard_normal((6, 2))))
+        codes = np.array([0, 0, 1, 1, 2, 2])
+        rng.shuffle(codes)
+
+        def stat(c):
+            return dcov_statistic(d, discrete_label_distances(LabelVector.from_codes(c, 3))).value
+
+        oracle = pvalue_from_null(stat(codes), np.array([stat(codes[p]) for p in perms]))
+        labels = LabelVector.from_codes(codes)
+        assert harness._replicate_pvalues(d, labels, ("dcov",), 99, 1)["dcov"] == oracle, seed
 
 
 def test_run_grid_is_deterministic_and_thread_invariant():

@@ -1,7 +1,10 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import random_distances, random_labels
+from conftest import exact_statistic, random_distances, random_labels
 
 from mddtest import (
     DegenerateLabelsWarning,
@@ -10,6 +13,7 @@ from mddtest import (
     LabelVector,
     OutOfRangePValue,
     PointSet,
+    RankStructure,
     bh_adjust,
     build_ranks,
     clt_diagnostic,
@@ -22,6 +26,8 @@ from mddtest import (
     pvalue_from_null,
     scaling_diagnostic,
 )
+from mddtest import cli
+from mddtest.estimator import MAX_EXACT_N
 
 
 def test_pvalue_from_null_worked_example():
@@ -58,8 +64,8 @@ def test_permutation_test_reports_and_determinism():
     d = random_distances(rng, 20)
     labels = random_labels(rng, 20, 3)
     ranks = build_ranks(d)
-    a = permutation_test(ranks, labels, permutations=99, seed=42, retain_null=True)
-    b = permutation_test(ranks, labels, permutations=99, seed=42, retain_null=True)
+    a = permutation_test(ranks, labels, permutations=99, seed=42)
+    b = permutation_test(ranks, labels, permutations=99, seed=42)
     assert a.statistic == estimate_fast(ranks, labels).value
     assert a.scaled == 20 * a.statistic
     assert a.per_class == estimate_fast(ranks, labels).per_class
@@ -67,11 +73,6 @@ def test_permutation_test_reports_and_determinism():
     assert a.n == 20 and a.num_classes == 3 and a.method == "permutation"
     assert 1.0 / 100.0 <= a.p_value <= 1.0
     assert a.p_value == b.p_value
-    assert np.array_equal(a.null_stats, b.null_stats)
-    assert not a.null_stats.flags.writeable
-    c = permutation_test(ranks, labels, permutations=99, seed=43, retain_null=True)
-    assert not np.array_equal(a.null_stats, c.null_stats)
-    assert permutation_test(ranks, labels, permutations=99, seed=42).null_stats is None
 
 
 def test_permutation_rows_extend_with_the_count():
@@ -85,16 +86,66 @@ def test_permutation_rows_extend_with_the_count():
         draw_label_permutations(12, 0, seed=7)
 
 
-def test_null_statistics_match_direct_reestimation():
-    rng = np.random.default_rng(9)
-    d = random_distances(rng, 15)
-    labels = random_labels(rng, 15, 3)
-    ranks = build_ranks(d)
-    result = permutation_test(ranks, labels, permutations=20, seed=11, retain_null=True)
-    perms = draw_label_permutations(15, 20, seed=11)
-    for b in range(20):
-        relabeled = LabelVector.from_codes(labels.codes[perms[b]], 3)
-        assert abs(result.null_stats[b] - estimate_fast(ranks, relabeled).value) <= 1e-15
+def exact_pvalue(d, labels, permutations, seed, include_diagonal=True):
+    """The add-one p-value with every statistic from the Fraction oracle."""
+    r = labels.num_classes
+    observed = exact_statistic(d.values, labels.codes.tolist(), r, include_diagonal)[0]
+    hits = sum(
+        exact_statistic(d.values, labels.codes[p].tolist(), r, include_diagonal)[0] >= observed
+        for p in draw_label_permutations(labels.n, permutations, seed)
+    )
+    return (1 + hits) / (permutations + 1)
+
+
+@pytest.mark.parametrize("seed", (17, 30, 37))
+def test_balanced_small_sample_pvalue_counts_exact_ties(seed):
+    # with two points per class many permutations reproduce the observed
+    # partition up to class names, and each is a tie with the observed value
+    rng = np.random.default_rng(seed)
+    d = euclidean_distances(PointSet.euclidean(rng.standard_normal((6, 2))))
+    codes = np.array([0, 0, 1, 1, 2, 2])
+    rng.shuffle(codes)
+    labels = LabelVector.from_codes(codes)
+    result = permutation_test(build_ranks(d), labels, permutations=99, seed=1)
+    assert result.p_value == exact_pvalue(d, labels, 99, 1)
+
+
+@pytest.mark.parametrize("include_diagonal", (True, False))
+def test_tie_heavy_grid_pvalues_match_the_exact_oracle(include_diagonal):
+    for seed in range(10, 14):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 12))
+        r = int(rng.integers(2, 4))
+        d = random_distances(rng, n, ties=True)
+        labels = random_labels(rng, n, r)
+        result = permutation_test(
+            build_ranks(d), labels, permutations=29, seed=seed,
+            include_diagonal=include_diagonal,
+        )
+        assert result.p_value == exact_pvalue(d, labels, 29, seed, include_diagonal), seed
+
+
+def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeypatch, capsys):
+    n = MAX_EXACT_N + 1
+    stand_in = RankStructure(order=None, sorted_counts=None, n=n)
+    monkeypatch.setattr(cli, "load_precomputed", lambda values: SimpleNamespace(n=n))
+    monkeypatch.setattr(cli.fileio, "load_matrix_csv", lambda path: None)
+    monkeypatch.setattr(cli, "build_ranks", lambda d: stand_in)
+    labels_csv = tmp_path / "labels.csv"
+    labels_csv.write_text("".join(f"{i % 2}\n" for i in range(n)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = cli.main([
+            "test", "--matrix", "unused.csv", "--labels", str(labels_csv),
+            "--permutations", "9", "--seed", "0", "--output", str(tmp_path / "r.json"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"n <= {MAX_EXACT_N}" in capsys.readouterr().err
+    # an n x n array of single bytes would be eight times this bound
+    assert peak < n * n // 8
 
 
 def test_permutation_pvalues_are_superuniform_under_independence():
