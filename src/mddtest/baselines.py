@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeMismatch, TooFewSamples
-from .estimator import LabelVector, RankStructure
+from .errors import InvalidLabels, SizeMismatch, TooFewSamples
+from .estimator import _CHUNK, LabelVector, RankStructure
 from .metrics import DistanceMatrix
 
 
@@ -53,12 +53,11 @@ def dcov_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
     return BaselineStatistic(name="dcov", value=float(np.mean(a * b)), n=dx.n)
 
 
-def _chi_square_sum(n11, r1, c1, m):
-    """Summed Pearson chi-squares of 2x2 tables with the given counts.
+def _chi_squares(n11, r1, c1, m):
+    """Pearson chi-squares of 2x2 tables with the given counts, elementwise.
 
     Tables have ``m`` units, first-row margin ``r1``, first-column
-    margin ``c1`` and top-left cell ``n11``; a zero margin contributes
-    zero.
+    margin ``c1`` and top-left cell ``n11``; a zero margin gives zero.
     """
     n12 = r1 - n11
     n21 = c1 - n11
@@ -66,14 +65,14 @@ def _chi_square_sum(n11, r1, c1, m):
     det = n11 * n22 - n12 * n21
     den = r1 * (m - r1) * c1 * (m - c1)
     valid = den > 0
-    num = np.zeros_like(den, dtype=np.float64)
+    num = np.zeros(det.shape)
     np.divide(
         m * det.astype(np.float64) ** 2,
         den.astype(np.float64),
         out=num,
         where=valid,
     )
-    return float(num.sum())
+    return num
 
 
 def hhg_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
@@ -103,38 +102,71 @@ def hhg_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
         c1 = in_y.sum(axis=1) - 2
         keep = np.ones(n, dtype=bool)
         keep[i] = False
-        total += _chi_square_sum(n11[keep], r1[keep], c1[keep], m)
+        total += float(_chi_squares(n11[keep], r1[keep], c1[keep], m).sum())
     return BaselineStatistic(name="hhg", value=total, n=n)
 
 
 def hhg_statistic_discrete(
     ranks: RankStructure, codes: np.ndarray, counts: np.ndarray
-) -> float:
+) -> float | np.ndarray:
     """Fast path of :func:`hhg_statistic` when ``dy`` is the discrete metric.
 
+    ``codes`` is one coding, which gives a float, or an ``(m, n)`` batch
+    of codings, which gives ``m`` values; every coding must hold
+    ``counts[r]`` observations of class ``r``.
+
     Under the discrete metric only ordered pairs with ``y_i == y_j``
-    produce a table without a zero margin, and for those pairs every
-    count is a ball count already held by the rank structure.  Each
-    table's chi-square matches the general routine exactly (the grand
-    total differs only by float summation order); each call is
-    O(R n^2), which is what makes label permutations affordable.
+    produce a table without a zero margin.  For such a pair in class
+    ``r`` the table is fixed by ``n_r``, the ball count
+    ``C[i, j] = #{l : d(i, l) <= d(i, j)}`` and the number ``a`` of
+    class members in that ball, so each class tabulates its
+    chi-squares over ``(a, C)`` once per call.  A coding sorts its
+    members' ball counts per centre and reads ``a`` off the end of each
+    tie run.  Terms are summed centre by centre in ascending distance,
+    class by class, so every coding gets the bits of a call on it alone.
+    Each table's chi-square matches the general routine exactly (the
+    grand total differs only by float summation order).
     """
     n = ranks.n
     if n < 3:
         raise TooFewSamples(f"pairwise chi-square needs n >= 3, got {n}")
-    m = n - 2
-    self_pos = ranks.order == np.arange(n)[:, None]
-    pos = ranks.sorted_counts - 1
-    total = 0.0
-    for r in range(counts.size):
-        rows = np.flatnonzero(codes == r)
-        if rows.size == 0:
+    codings = np.atleast_2d(codes)
+    if codings.shape[1] != n:
+        raise SizeMismatch(f"codings have {codings.shape[1]} entries, ranks have {n}")
+    sizes = [int(c) for c in counts]
+    if sum(sizes) != n:
+        raise InvalidLabels(f"class counts sum to {sum(sizes)}, not n = {n}")
+    ball = np.empty((n, n), dtype=np.int32)
+    np.put_along_axis(ball, ranks.order, ranks.sorted_counts, axis=1)
+    ball = ball.ravel()
+    total = np.zeros(len(codings))
+    for r, size in enumerate(sizes):
+        if size == 0:
             continue
-        member_sorted = codes[ranks.order[rows]] == r
-        cum = np.cumsum(member_sorted, axis=1, dtype=np.int64)
-        n11 = np.take_along_axis(cum, pos[rows], axis=1) - 2
-        r1 = ranks.sorted_counts[rows] - 2
-        c1 = int(counts[r]) - 2
-        keep = member_sorted & ~self_pos[rows]
-        total += _chi_square_sum(n11[keep], r1[keep], c1, m)
-    return total
+        n11 = np.arange(-2, size - 1)[:, None]  # a - 2 for a in 0..n_r
+        r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
+        table = _chi_squares(n11, r1, size - 2, n - 2).ravel()
+        run_end = np.arange(1, size + 1, dtype=np.int32)
+        # a quarter of a class-form chunk keeps the int32 and float64
+        # temporaries of one chunk near 1 MB
+        step = max(1, (_CHUNK >> 2) // (size * size))
+        for start in range(0, len(codings), step):
+            block = codings[start:start + step]
+            members = np.nonzero(block == r)[1]
+            if members.size != len(block) * size:
+                raise InvalidLabels(
+                    f"a coding does not hold {size} observations of class {r}"
+                )
+            members = members.reshape(len(block), size).astype(np.int32)
+            within = ball[members[:, :, None] * np.int32(n) + members[:, None, :]]
+            within.sort(axis=2)
+            # a is the end of the run of equal ball counts, found where the
+            # next count differs
+            last = np.ones(within.shape, dtype=bool)
+            np.not_equal(within[..., 1:], within[..., :-1], out=last[..., :-1])
+            ends = np.where(last, run_end, np.int32(size))
+            ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
+            # sorted position 0 is the centre itself, at distance 0
+            index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
+            total[start:start + step] += table[index].reshape(len(block), -1).sum(axis=1)
+    return float(total[0]) if np.ndim(codes) == 1 else total

@@ -129,8 +129,8 @@ def _replicate_pvalues(
             _class_forms(a, codings, labels.num_classes), axis=1
         ).sum(axis=1)
     if "hhg" in tests:
-        statistics["hhg"] = lambda codings: np.array(
-            [hhg_statistic_discrete(ranks, codes, labels.counts) for codes in codings]
+        statistics["hhg"] = lambda codings: hhg_statistic_discrete(
+            ranks, codings, labels.counts
         )
     return {
         test: _permutation_null(statistic, labels.codes, perms)[1]

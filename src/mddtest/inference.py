@@ -79,13 +79,20 @@ def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:
     """The ``(permutations, n)`` array of index permutations for a seed.
 
     Row ``b`` comes from the ``(seed, b)`` substream, independent of
-    execution order.
+    execution order.  One generator is rekeyed per row: a fresh state
+    with key ``(seed, b)`` and counter 0 continues exactly as a new
+    ``_substream(seed, b)`` would.
     """
     if permutations < 1:
         raise InvalidB(f"permutation count must be >= 1, got {permutations}")
+    generator = _substream(seed, 0)
+    bits = generator.bit_generator
+    state = bits.state
     out = np.empty((permutations, n), dtype=np.int64)
     for b in range(permutations):
-        out[b] = _substream(seed, b).permutation(n)
+        state["state"]["key"][1] = b
+        bits.state = state
+        out[b] = generator.permutation(n)
     return out
 
 

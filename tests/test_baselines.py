@@ -5,6 +5,7 @@ from conftest import random_distances, random_labels
 
 from mddtest import (
     DistanceMatrix,
+    InvalidLabels,
     LabelVector,
     SizeMismatch,
     TooFewSamples,
@@ -124,6 +125,40 @@ def hhg_loops(dx, dy):
     return total
 
 
+def hhg_discrete_loop(ranks, codes, counts):
+    """Per-coding oracle for the discrete-metric HHG statistic.
+
+    Each centre's row is walked in sorted order with a running count of
+    class members; the chi-squares of each class are summed as one 1-d
+    array, centre by centre in ascending distance, and the class sums
+    are added in class order.
+    """
+    n = ranks.n
+    m = n - 2
+    self_pos = ranks.order == np.arange(n)[:, None]
+    pos = ranks.sorted_counts - 1
+    total = 0.0
+    for r in range(counts.size):
+        rows = np.flatnonzero(codes == r)
+        if rows.size == 0:
+            continue
+        member_sorted = codes[ranks.order[rows]] == r
+        cum = np.cumsum(member_sorted, axis=1, dtype=np.int64)
+        keep = member_sorted & ~self_pos[rows]
+        n11 = (np.take_along_axis(cum, pos[rows], axis=1) - 2)[keep]
+        r1 = (ranks.sorted_counts[rows] - 2)[keep]
+        c1 = int(counts[r]) - 2
+        n12 = r1 - n11
+        n21 = c1 - n11
+        n22 = m - r1 - c1 + n11
+        det = n11 * n22 - n12 * n21
+        den = r1 * (m - r1) * c1 * (m - c1)
+        num = np.zeros(den.shape)
+        np.divide(m * det.astype(np.float64) ** 2, den.astype(np.float64), out=num, where=den > 0)
+        total += float(num.sum())
+    return total
+
+
 def test_hhg_matches_loop_oracle():
     rng = np.random.default_rng(6)
     for trial in range(5):
@@ -146,6 +181,42 @@ def test_hhg_discrete_fast_path_matches_general():
         general = hhg_statistic(dx, discrete_label_distances(labels)).value
         fast = hhg_statistic_discrete(build_ranks(dx), labels.codes, labels.counts)
         assert abs(general - fast) <= 1e-10 * (1.0 + abs(general))
+
+
+def test_hhg_discrete_batch_is_bitwise_the_per_coding_oracle():
+    rng = np.random.default_rng(12)
+    cases = []
+    for trial in range(6):
+        # integer grids: duplicate points, zero distances and long tie runs
+        n = int(rng.integers(6, 40))
+        cases.append((random_distances(rng, n, ties=True), random_labels(rng, n, 3).codes))
+    singleton = np.array([0, 1] * 6 + [2])
+    cases.append((random_distances(rng, 13, ties=True), singleton))
+    cases.append((random_distances(rng, 13), singleton))
+    cases.append((random_distances(rng, 3), np.array([0, 1, 0])))
+    # class rows longer than one chunk and than numpy's 8192-element blocks
+    cases.append((random_distances(rng, 200), np.arange(200) % 2))
+    for dx, codes in cases:
+        ranks = build_ranks(dx)
+        counts = np.bincount(codes)
+        batch = np.array([codes] + [rng.permutation(codes) for _ in range(7)])
+        want = np.array([hhg_discrete_loop(ranks, c, counts) for c in batch])
+        got = hhg_statistic_discrete(ranks, batch, counts)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        for c, value in zip(batch, want):
+            single = hhg_statistic_discrete(ranks, c, counts)
+            assert isinstance(single, float) and single == value
+
+
+def test_hhg_discrete_rejects_codes_that_disagree_with_counts():
+    ranks = build_ranks(random_distances(np.random.default_rng(13), 8))
+    codes = np.array([0, 0, 0, 1, 1, 1, 1, 1])
+    for counts in ([4, 4], [5, 3], [3, 4], [3, 4, 1]):
+        for given in (codes, np.vstack([codes, codes[::-1]])):
+            with pytest.raises(InvalidLabels):
+                hhg_statistic_discrete(ranks, given, np.array(counts))
+    with pytest.raises(InvalidLabels):
+        hhg_statistic_discrete(ranks, np.array([0, 0, 0, 1, 1, 1, 1, 2]), np.array([3, 5]))
 
 
 def test_hhg_single_class_is_zero():

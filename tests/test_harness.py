@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+from test_baselines import hhg_discrete_loop
+
 from mddtest import (
     ExperimentGrid,
     GridCell,
@@ -19,7 +21,6 @@ from mddtest import (
     estimate_fast,
     euclidean_distances,
     generate,
-    hhg_statistic_discrete,
     permutation_test,
     pvalue_from_null,
     run_grid,
@@ -113,9 +114,7 @@ def test_run_grid_matches_manual_replication():
                 "dcov": lambda codes: dcov_statistic(
                     d, discrete_label_distances(relabeled(codes))
                 ).value,
-                "hhg": lambda codes: hhg_statistic_discrete(
-                    ranks, codes, labels.counts
-                ),
+                "hhg": lambda codes: hhg_discrete_loop(ranks, codes, labels.counts),
             }
             pvals = _run_replicate((grid, cell_index, rep))[2]
             assert set(pvals) == set(grid.tests)

@@ -28,6 +28,7 @@ from mddtest import (
 )
 from mddtest import cli
 from mddtest.estimator import MAX_EXACT_N
+from mddtest.inference import _substream
 
 
 def test_pvalue_from_null_worked_example():
@@ -84,6 +85,16 @@ def test_permutation_rows_extend_with_the_count():
         assert np.array_equal(np.sort(row), np.arange(12))
     with pytest.raises(InvalidB):
         draw_label_permutations(12, 0, seed=7)
+
+
+def test_permutation_rows_are_the_substream_permutations():
+    # the streams are part of every recorded p-value and acceptance band
+    for seed in (0, 7, 2**63 - 1):
+        for n, permutations in ((1, 3), (6, 40), (40, 9)):
+            rows = draw_label_permutations(n, permutations, seed)
+            assert rows.shape == (permutations, n)
+            for b, row in enumerate(rows):
+                assert np.array_equal(row, _substream(seed, b).permutation(n))
 
 
 def exact_pvalue(d, labels, permutations, seed, include_diagonal=True):
