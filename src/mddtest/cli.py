@@ -4,8 +4,9 @@ Commands: ``test`` (one dataset, one p-value), ``simulate`` (a grid of
 Monte Carlo cells) and ``adjust`` (Benjamini-Hochberg over a batch of
 p-values).  Timing lives outside the package, in ``perfbench/``.
 
-Exit codes: 0 on success, 2 on malformed input, 3 on a distance or
-point-space violation, 4 on an internal failure.
+Exit codes: 0 on success, 2 on malformed input or an input too large
+for memory, 3 on a distance or point-space violation, 4 on an internal
+failure.
 """
 
 from __future__ import annotations
@@ -261,6 +262,10 @@ def main(argv=None) -> int:
     except MddError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        detail = str(exc) or "an allocation failed"
+        print(f"error: not enough memory for this input: {detail}", file=sys.stderr)
+        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

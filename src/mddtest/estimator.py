@@ -122,10 +122,12 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class RankStructure:
-    """Per-row sorted order and tie-aware inclusive ball counts.
+    """Per-row sorted order and tie-aware inclusive ball counts, as int32.
 
-    ``order[i]`` sorts row ``i`` of the distance matrix ascending
-    (stable).  ``sorted_counts[i, t]`` is the inclusive count
+    ``order[i]`` sorts row ``i`` of the distance matrix ascending; the
+    order of tied columns is unspecified and may differ across CPUs, so
+    readers take only values that are constant over a tie run.
+    ``sorted_counts[i, t]`` is the inclusive count
     ``#{k : d(i, k) <= s_t}`` for the ``t``-th smallest distance
     ``s_t`` in row ``i``, so ``sorted_counts[i, t] / n`` is the
     empirical ball CDF ``F(i, order[i, t])``.  Runs of equal sorted
@@ -197,16 +199,21 @@ def estimate_naive(
 
 
 def build_ranks(d: DistanceMatrix) -> RankStructure:
-    """Sort each row once and precompute tie-aware inclusive counts."""
-    values = d.values
+    """Sort the whole matrix row-wise once and count each row's tie runs.
+
+    One pass marks where each row's sorted distances change value, which
+    ends a tie run; a reversed running minimum over those run ends gives
+    every position the end of its run, ``#{k : d(i, k) <= s_t}`` under
+    exact equality.  Both arrays fit int32: an ``n x n`` float64 matrix
+    with ``n >= 2^31`` could not be held.
+    """
     n = d.n
-    order = np.argsort(values, axis=1, kind="stable")
-    sorted_d = np.take_along_axis(values, order, axis=1)
-    sorted_counts = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        # right bisection on the sorted row gives #{k : d(i,k) <= s_t}
-        # under exact equality, which is constant across a tie group.
-        sorted_counts[i] = np.searchsorted(sorted_d[i], sorted_d[i], side="right")
+    order = np.argsort(d.values, axis=1).astype(np.int32)
+    sorted_d = np.sort(d.values, axis=1)
+    last = np.ones((n, n), dtype=bool)
+    np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=last[:, :-1])
+    ends = np.where(last, np.arange(1, n + 1, dtype=np.int32), np.int32(n))
+    sorted_counts = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
     return RankStructure(order=_freeze(order), sorted_counts=_freeze(sorted_counts), n=n)
 
 
@@ -215,19 +222,23 @@ def estimate_fast(
 ) -> MddEstimate:
     """Evaluate the statistic from a prebuilt :class:`RankStructure`.
 
-    The sums run over sorted positions in a fixed order, so repeated calls
-    are bit-identical; they agree with :func:`estimate_naive` to within
-    accumulation-order rounding (at most a few ulps).
+    Each class takes one int32 running count of its members along the
+    sorted rows and reads it at every position's tie-run end through a
+    single flat index.  The sums run over sorted positions in a fixed
+    order, so repeated calls are bit-identical; they agree with
+    :func:`estimate_naive` to within accumulation-order rounding (at
+    most a few ulps).
     """
     _check_sizes(ranks.n, labels)
     n = ranks.n
-    pos = ranks.sorted_counts - 1
+    # intp, not int32: row * n overflows int32 above n = 46340
+    run_end = ranks.sorted_counts - 1 + np.arange(0, n * n, n, dtype=np.intp)[:, None]
     f_all = ranks.sorted_counts / n
     sorted_codes = labels.codes[ranks.order]
     sums = np.empty(labels.num_classes)
     for r in range(labels.num_classes):
-        cum = np.cumsum(sorted_codes == r, axis=1, dtype=np.int64)
-        diff = np.take_along_axis(cum, pos, axis=1) / labels.counts[r] - f_all
+        cum = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32)
+        diff = cum.ravel().take(run_end) / labels.counts[r] - f_all
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
         if not include_diagonal:  # B(i, i) sits at sorted position 0
             sums[r] -= float(diff[:, 0] @ diff[:, 0])

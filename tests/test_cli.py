@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mddtest import InvalidLabels, LabelVector
+from mddtest import InvalidLabels, LabelVector, cli
 from mddtest.cli import main
 from mddtest.fileio import read_csv_rows, validate_result_dict
 
@@ -142,6 +142,26 @@ def test_test_command_exit_codes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_out_of_memory_exits_2_not_as_internal_error(
+    two_point_files, tmp_path, monkeypatch, capsys
+):
+    points, labels = two_point_files
+
+    def exhausted(d):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_ranks", exhausted)
+    rc = main([
+        "test", "--points", points, "--labels", labels, "--permutations", "5",
+        "--seed", "1", "--output", str(tmp_path / "r.json"),
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory")
+    assert "internal error" not in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_nan_labels_are_rejected(tmp_path, capsys):

@@ -9,11 +9,15 @@ from mddtest import (
     DistanceMatrix,
     InvalidLabels,
     LabelVector,
+    RankStructure,
     SizeMismatch,
     build_ranks,
     estimate_fast,
     estimate_naive,
+    hhg_statistic_discrete,
+    permutation_test,
 )
+from mddtest.estimator import _ball_kernel
 
 TWO_POINT_D = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 TWO_POINT_Y = LabelVector.from_codes(np.array([0, 1]))
@@ -48,8 +52,66 @@ def test_rank_structure_worked_row():
     # row 0 distances (0, 5, 2, 2): closed-ball counts by column
     assert ranks.sorted_counts[0][np.argsort(ranks.order[0])].tolist() == [1, 4, 3, 3]
     assert ranks.sorted_counts[0].tolist() == [1, 3, 3, 4]
-    # stable sort keeps the original order of the tied columns 2 and 3
-    assert ranks.order[0].tolist() == [0, 2, 3, 1]
+    assert d.values[0][ranks.order[0]].tolist() == [0.0, 2.0, 2.0, 5.0]
+
+
+def sorted_counts_loop(values):
+    """Per-row oracle: right bisection of each sorted row on itself."""
+    return np.stack([np.searchsorted(row, row, side="right") for row in np.sort(values, axis=1)])
+
+
+def tie_heavy_instances(seed, count):
+    """3 x 3 integer-grid samples with n >= 17, so points repeat; every
+    other one has its zero distances stored as -0.0."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(17, 41))
+        values = random_distances(rng, n, ties=True).values.copy()
+        if trial % 2:
+            values[values == 0.0] = -0.0
+        yield rng, DistanceMatrix(values)
+
+
+def test_sorted_counts_match_the_per_row_bisection():
+    off_diagonal_equal = np.full((6, 6), 2.5)
+    np.fill_diagonal(off_diagonal_equal, 0.0)
+    signed_zeros = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [1.0, -0.0, -0.0]])
+    matrices = [TWO_POINT_D, DistanceMatrix(off_diagonal_equal), DistanceMatrix(signed_zeros)]
+    matrices += [d for _, d in tie_heavy_instances(47, 8)]
+    for d in matrices:
+        assert np.array_equal(build_ranks(d).sorted_counts, sorted_counts_loop(d.values))
+    assert build_ranks(DistanceMatrix(off_diagonal_equal)).sorted_counts[:, 1:].min() == 6
+    assert build_ranks(DistanceMatrix(signed_zeros)).sorted_counts.tolist() == [
+        [2, 2, 3], [3, 3, 3], [2, 2, 3]
+    ]
+
+
+def test_rank_consumers_ignore_the_order_within_ties():
+    moved_any = False
+    for rng, d in tie_heavy_instances(53, 6):
+        n = d.n
+        ranks = build_ranks(d)
+        # sort each row by tie run first and a random key second
+        shuffled = np.stack([
+            row[np.lexsort((rng.random(n), counts))]
+            for row, counts in zip(ranks.order, ranks.sorted_counts)
+        ])
+        moved_any |= not np.array_equal(shuffled, ranks.order)
+        other = RankStructure(order=shuffled, sorted_counts=ranks.sorted_counts, n=n)
+        labels = random_labels(rng, n, 3)
+        codings = np.stack([rng.permutation(labels.codes) for _ in range(4)])
+        for include in (True, False):
+            assert estimate_fast(other, labels, include) == estimate_fast(ranks, labels, include)
+            assert np.array_equal(_ball_kernel(other, include), _ball_kernel(ranks, include))
+            assert (
+                permutation_test(other, labels, 19, seed=n, include_diagonal=include).p_value
+                == permutation_test(ranks, labels, 19, seed=n, include_diagonal=include).p_value
+            )
+        assert np.array_equal(
+            hhg_statistic_discrete(other, codings, labels.counts),
+            hhg_statistic_discrete(ranks, codings, labels.counts),
+        )
+    assert moved_any
 
 
 def test_engines_match_exact_reference_on_small_instances():
@@ -209,3 +271,4 @@ def test_rank_arrays_are_frozen():
     ranks = build_ranks(random_distances(rng, 6))
     for arr in (ranks.order, ranks.sorted_counts):
         assert not arr.flags.writeable
+        assert arr.dtype == np.int32
