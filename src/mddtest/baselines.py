@@ -9,20 +9,11 @@ permutation machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidLabels, SizeMismatch, TooFewSamples
 from .estimator import _CHUNK, LabelVector, RankStructure
 from .metrics import DistanceMatrix
-
-
-@dataclass(frozen=True)
-class BaselineStatistic:
-    name: str
-    value: float
-    n: int
 
 
 def discrete_label_distances(labels: LabelVector) -> DistanceMatrix:
@@ -40,7 +31,7 @@ def double_center(values: np.ndarray) -> np.ndarray:
     return values - mu_rows - mu_cols + mu
 
 
-def dcov_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
+def dcov_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Squared distance covariance, V-statistic form.
 
     The mean of the elementwise product of the two double-centred
@@ -50,7 +41,7 @@ def dcov_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
         raise SizeMismatch(f"distance matrices disagree: {dx.n} vs {dy.n}")
     a = double_center(dx.values)
     b = double_center(dy.values)
-    return BaselineStatistic(name="dcov", value=float(np.mean(a * b)), n=dx.n)
+    return float(np.mean(a * b))
 
 
 def _chi_squares(n11, r1, c1, m):
@@ -75,7 +66,7 @@ def _chi_squares(n11, r1, c1, m):
     return num
 
 
-def hhg_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
+def hhg_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
     """Sum of pairwise 2x2 chi-square statistics.
 
     For each ordered pair ``(i, j)`` with ``i != j`` the remaining
@@ -103,7 +94,7 @@ def hhg_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> BaselineStatistic:
         keep = np.ones(n, dtype=bool)
         keep[i] = False
         total += float(_chi_squares(n11[keep], r1[keep], c1[keep], m).sum())
-    return BaselineStatistic(name="hhg", value=total, n=n)
+    return total
 
 
 def hhg_statistic_discrete(

@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -49,7 +48,6 @@ _INPUT_ERRORS = (
     SizeMismatch,
     TooFewSamples,
     FileNotFoundError,
-    json.JSONDecodeError,
 )
 
 
@@ -110,9 +108,9 @@ def _cmd_test(args) -> int:
     )
     labels = LabelVector.from_values(raw_labels)
     if args.matrix is not None:
-        d = load_precomputed(fileio.load_matrix_csv(args.matrix))
+        d = load_precomputed(fileio.load_numeric_csv(args.matrix))
     else:
-        rows = fileio.load_points_csv(args.points)
+        rows = fileio.load_numeric_csv(args.points)
         if args.metric == "shape":
             if rows.shape[1] % 2 != 0 or rows.shape[1] < 6:
                 raise CsvFormatError(
@@ -198,10 +196,8 @@ def _cmd_adjust(args) -> int:
         names = []
         pvals = []
         for path in files:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-            fileio.validate_result_dict(obj)
             names.append(path.name)
-            pvals.append(float(obj["p_value"]))
+            pvals.append(float(fileio.load_result_json(path)["p_value"]))
         adjusted = bh_adjust(pvals)
         out_path = args.output or str(source / "adjusted.csv")
         rows = [["file", "p_value", "bh_adjusted"]]
@@ -210,28 +206,8 @@ def _cmd_adjust(args) -> int:
         fileio.write_csv(out_path, rows)
         print(f"adjusted {len(pvals)} p-values -> {out_path}")
         return 0
-    rows = fileio.read_csv_rows(source)
-    header_row: list[str] | None = None
-    first_val = rows[0][args.column] if args.column < len(rows[0]) else ""
-    has_header = args.header == "yes" or (
-        args.header == "auto" and not fileio._is_number(first_val)
-    )
-    if has_header:
-        header_row = rows[0]
-        rows = rows[1:]
-    if not rows:
-        raise CsvFormatError(f"{source} holds no data rows")
-    pvals = []
-    for i, row in enumerate(rows):
-        if args.column >= len(row):
-            raise CsvFormatError(f"{source}: row {i + 1} has no column {args.column}")
-        text = row[args.column]
-        try:
-            pvals.append(float(text))
-        except ValueError:
-            raise CsvFormatError(
-                f"{source}: row {i + 1}, column {args.column + 1}: {text!r} is not a number"
-            ) from None
+    header_row, rows, values = fileio.read_column(source, args.column, args.header)
+    pvals = fileio.parse_floats(source, values, column=args.column)
     adjusted = bh_adjust(pvals)
     out_path = args.output or str(source.with_suffix(".adjusted.csv"))
     out_rows = []

@@ -81,10 +81,14 @@ class LabelVector:
                 f"class {missing} has no observations; the class count is "
                 "inferred from the data and empty classes are rejected"
             )
-        object.__setattr__(self, "codes", _freeze(codes))
+        proportions = counts / codes.size
+        # all three are fresh arrays (astype copies), so they freeze in place
+        for arr in (codes, counts, proportions):
+            arr.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "num_classes", r)
-        object.__setattr__(self, "counts", _freeze(counts))
-        object.__setattr__(self, "proportions", _freeze(counts / codes.size))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "proportions", proportions)
 
     @property
     def n(self) -> int:
@@ -214,7 +218,9 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
     np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=last[:, :-1])
     ends = np.where(last, np.arange(1, n + 1, dtype=np.int32), np.int32(n))
     sorted_counts = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
-    return RankStructure(order=_freeze(order), sorted_counts=_freeze(sorted_counts), n=n)
+    order.flags.writeable = False
+    # the reversed view is copied once, into a contiguous frozen array
+    return RankStructure(order=order, sorted_counts=_freeze(sorted_counts), n=n)
 
 
 def estimate_fast(

@@ -1,7 +1,9 @@
-"""CSV and JSON reading and writing.
+"""CSV and JSON reading and writing; every input format is read here.
 
 CSV files are comma separated with ``.`` decimals, UTF-8 encoded; an
-optional header row is detected by a non-numeric first row.  Numbers
+optional header row is detected by a non-numeric first row (for one
+column, by its first field).  Result files are checked against
+``schemas/result.schema.json``, the only copy of that format.  Numbers
 are written in shortest round-trip decimal form, so a dump-then-load
 cycle reproduces every float bit for bit.  JSON output is rendered
 with sorted keys and fixed indentation, so identical inputs serialise
@@ -10,14 +12,17 @@ byte-identically.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError, GridConfigError, OutOfRangePValue
+from .errors import CsvFormatError, GridConfigError
 from .harness import ExperimentGrid, GridCell
 from .inference import TestResult
 from .simulate import ScenarioSpec
@@ -30,106 +35,115 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def read_csv_rows(path) -> list[list[str]]:
+def _csv_rows(path) -> Iterator[list[str]]:
+    """Yield the rows of a CSV file lazily, skipping blank ones."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(f.strip() for f in row)]
-    except OSError as exc:
+            for row in csv.reader(fh):
+                if any(f.strip() for f in row):
+                    yield row
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def read_csv_rows(path) -> list[list[str]]:
+    rows = list(_csv_rows(path))
     if not rows:
         raise CsvFormatError(f"{path} holds no data rows")
     return rows
 
 
-def _is_number(text: str) -> bool:
+def _is_number(text: str | None) -> bool:
     try:
         float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
     return True
 
 
-def load_numeric_csv(path) -> tuple[np.ndarray, list[str] | None]:
-    """Read a rectangular numeric CSV, splitting off a detected header."""
-    rows = read_csv_rows(path)
-    header = None
-    if any(not _is_number(field) for field in rows[0]):
-        header = [field.strip() for field in rows[0]]
-        rows = rows[1:]
-        if not rows:
+def parse_floats(
+    path, fields: list[str], row: int | None = None, column: int | None = None
+) -> np.ndarray:
+    """Parse a row (``row`` given) or a column (``column`` given) of fields as float64.
+
+    The error names the first bad field by its 1-based row and column.
+    """
+    try:
+        return np.array(fields, dtype=np.float64)
+    except ValueError:
+        k = next(k for k, text in enumerate(fields) if not _is_number(text))
+        i, j = (row, k + 1) if column is None else (k + 1, column + 1)
+        raise CsvFormatError(
+            f"{path}: row {i}, column {j}: {fields[k]!r} is not a number"
+        ) from None
+
+
+def load_numeric_csv(path) -> np.ndarray:
+    """Read a rectangular numeric CSV, skipping a header row if present.
+
+    The first row is a header when any of its fields is not a number.
+    Rows are parsed as they are read, so the text of the file is never
+    held whole.
+    """
+    rows = _csv_rows(path)
+    first = next(rows, None)
+    if first is None:
+        raise CsvFormatError(f"{path} holds no data rows")
+    if not all(_is_number(field) for field in first):
+        first = next(rows, None)
+        if first is None:
             raise CsvFormatError(f"{path} holds a header but no data rows")
-    width = len(rows[0])
-    out = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
+    width = len(first)
+    out = []
+    for i, row in enumerate(itertools.chain([first], rows), start=1):
         if len(row) != width:
-            raise CsvFormatError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected {width}"
-            )
-        for j, fieldval in enumerate(row):
-            try:
-                out[i, j] = float(fieldval)
-            except ValueError:
-                raise CsvFormatError(
-                    f"{path}: row {i + 1}, column {j + 1}: {fieldval!r} is not a number"
-                ) from None
-    return out, header
+            raise CsvFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
+        out.append(parse_floats(path, row, row=i))
+    return np.array(out)
 
 
-def load_points_csv(path) -> np.ndarray:
-    values, _header = load_numeric_csv(path)
-    return values
+def read_column(
+    path, column: int, header: str = "auto"
+) -> tuple[list[str] | None, list[list[str]], list[str]]:
+    """One column of a CSV: the header row or None, the data rows, and
+    the column's stripped values.
 
-
-def load_matrix_csv(path) -> np.ndarray:
-    values, _header = load_numeric_csv(path)
-    return values
+    ``header`` is ``"yes"``, ``"no"`` or ``"auto"``: the first row is a
+    header when its field in the column is missing or not a number and
+    at least one later field is a number.
+    """
+    rows = read_csv_rows(path)
+    width = max(len(row) for row in rows)
+    if not 0 <= column < width:
+        raise CsvFormatError(f"{path}: column {column} outside 0..{width - 1}")
+    values = [row[column].strip() if column < len(row) else None for row in rows]
+    if header == "yes" or (
+        header == "auto"
+        and not _is_number(values[0])
+        and any(_is_number(v) for v in values[1:])
+    ):
+        head, rows, values = rows[0], rows[1:], values[1:]
+    else:
+        head = None
+    if not rows:
+        raise CsvFormatError(f"{path} holds no data rows")
+    if None in values:
+        raise CsvFormatError(f"{path}: row {values.index(None) + 1} has no column {column}")
+    return head, rows, values
 
 
 def load_labels_csv(path, column: int = 0, header: str = "auto") -> np.ndarray:
-    """Read one column of labels, numeric or string valued.
-
-    ``header`` is ``"auto"`` (a non-numeric first value followed by at
-    least one numeric value is treated as a header), ``"yes"`` or
-    ``"no"``.
-    """
-    rows = read_csv_rows(path)
-    width = max(len(r) for r in rows)
-    if not 0 <= column < width:
-        raise CsvFormatError(
-            f"{path}: label column {column} outside 0..{width - 1}"
-        )
+    """Read one column of labels, numeric or string valued (see :func:`read_column`)."""
+    _head, _rows, values = read_column(path, column, header)
     try:
-        values = [row[column].strip() for row in rows]
-    except IndexError:
-        short = next(i for i, row in enumerate(rows) if len(row) <= column)
-        raise CsvFormatError(
-            f"{path}: row {short + 1} has no column {column}"
-        ) from None
-    if header == "yes":
-        values = values[1:]
-    elif header == "auto":
-        if values and not _is_number(values[0]) and any(_is_number(v) for v in values[1:]):
-            values = values[1:]
-    if not values:
-        raise CsvFormatError(f"{path} holds no label rows")
-    if all(_is_number(v) for v in values):
-        return np.array([float(v) for v in values])
-    return np.array(values)
+        return np.array(values, dtype=np.float64)
+    except ValueError:
+        return np.array(values)
 
 
 def write_csv(path, rows: list[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-
-
-def write_matrix_csv(path, values: np.ndarray, header: list[str] | None = None) -> None:
-    arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    rows: list[list[str]] = []
-    if header is not None:
-        rows.append(list(header))
-    for row in arr:
-        rows.append([fmt_float(v) for v in row])
-    write_csv(path, rows)
 
 
 def dump_json(obj) -> str:
@@ -163,36 +177,75 @@ def load_result_schema() -> dict:
     return json.loads(text)
 
 
-def validate_result_dict(obj: dict) -> None:
-    """Check a result dictionary against the published schema by hand."""
-    if not isinstance(obj, dict):
-        raise GridConfigError("/: result must be a JSON object")
-    required = {
-        "schema_version": int,
-        "statistic": (int, float),
-        "scaled": (int, float),
-        "n": int,
-        "R": int,
-        "p_value": (int, float),
-        "permutations": int,
-        "seed": int,
-        "method": str,
-    }
-    for key, kind in required.items():
-        if key not in obj:
-            raise GridConfigError(f"/{key}: required field is missing")
-        if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
-            raise GridConfigError(f"/{key}: wrong type")
-    if "per_class" not in obj:
-        raise GridConfigError("/per_class: required field is missing")
-    per_class = obj["per_class"]
-    if per_class is not None:
-        if not isinstance(per_class, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in per_class
-        ):
-            raise GridConfigError("/per_class: must be null or a list of numbers")
-    if not 0.0 <= obj["p_value"] <= 1.0:
-        raise OutOfRangePValue(f"p-value {obj['p_value']} outside [0, 1]")
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+               "number": (int, float), "null": type(None)}
+_SCHEMA_KEYWORDS = {
+    "type", "const", "minimum", "maximum", "required", "properties",
+    "additionalProperties", "items", "oneOf", "$schema", "$id", "title",
+}
+
+
+def _check_schema(value, schema: dict, pointer: str) -> None:
+    """Raise :class:`GridConfigError` at the first place ``value`` breaks ``schema``.
+
+    Only the keywords the result schema uses are understood; any other
+    keyword is an error, so it can never be skipped unnoticed.
+    """
+    if set(schema) - _SCHEMA_KEYWORDS:
+        raise NotImplementedError(f"unsupported schema keywords {set(schema) - _SCHEMA_KEYWORDS}")
+    where = pointer or "/"
+    kind = schema.get("type")
+    # a bool is a Python int, but neither a JSON integer nor a number
+    if kind is not None and (
+        isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
+    ):
+        raise GridConfigError(f"{where}: expected {kind}")
+    if "const" in schema and value != schema["const"]:
+        raise GridConfigError(f"{where}: must be {schema['const']!r}, got {value!r}")
+    # written so that NaN fails both bounds
+    if "minimum" in schema and not value >= schema["minimum"]:
+        raise GridConfigError(f"{where}: {value!r} is below {schema['minimum']}")
+    if "maximum" in schema and not value <= schema["maximum"]:
+        raise GridConfigError(f"{where}: {value!r} is above {schema['maximum']}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            raise GridConfigError(f"{pointer}/{key}: required field is missing")
+    properties = schema.get("properties", {})
+    extra = schema.get("additionalProperties", True)
+    for key in value if isinstance(value, dict) else ():
+        child = f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+        if key in properties:
+            _check_schema(value[key], properties[key], child)
+        elif extra is False:
+            raise GridConfigError(f"{child}: unknown field")
+        elif isinstance(extra, dict):
+            _check_schema(value[key], extra, child)
+    if "items" in schema:
+        for i, item in enumerate(value):
+            _check_schema(item, schema["items"], f"{pointer}/{i}")
+    if "oneOf" in schema:
+        matches = 0
+        for option in schema["oneOf"]:
+            with contextlib.suppress(GridConfigError):
+                _check_schema(value, option, pointer)
+                matches += 1
+        if matches != 1:
+            raise GridConfigError(f"{where}: matches {matches} of the oneOf forms, not one")
+
+
+def validate_result_dict(obj) -> None:
+    """Check a result dictionary against ``schemas/result.schema.json``."""
+    _check_schema(obj, load_result_schema(), "")
+
+
+def load_result_json(path) -> dict:
+    """Read one result JSON file and validate it; errors name the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        validate_result_dict(obj)
+    except (OSError, ValueError) as exc:
+        raise GridConfigError(f"{path}: {exc}") from exc
+    return obj
 
 
 def result_csv_rows(result: TestResult) -> list[list[str]]:

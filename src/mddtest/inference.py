@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import secrets
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,57 +132,6 @@ def _mdd_keys(
     )
 
 
-def _run_permutations(
-    statistic: BatchStatistic,
-    labels: LabelVector,
-    permutations: int,
-    seed: int | None,
-    method: str = "permutation",
-) -> TestResult:
-    """Draw the permutations and test; the observed key is the statistic."""
-    if seed is None:
-        seed = fresh_seed()
-    if labels.num_classes == 1:
-        warnings.warn(
-            "labels hold a single class; the statistic is identically zero "
-            "and the permutation p-value is 1",
-            DegenerateLabelsWarning,
-        )
-    perms = draw_label_permutations(labels.n, permutations, seed)
-    observed, p = _permutation_null(statistic, labels.codes, perms)
-    return TestResult(
-        statistic=float(observed),
-        scaled=labels.n * float(observed),
-        p_value=p,
-        permutations=permutations,
-        seed=seed,
-        n=labels.n,
-        num_classes=labels.num_classes,
-        method=method,
-    )
-
-
-def permutation_test_statistic(
-    statistic: Callable[[np.ndarray], float],
-    labels: LabelVector,
-    permutations: int = DEFAULT_PERMUTATIONS,
-    seed: int | None = None,
-    method: str = "permutation",
-) -> TestResult:
-    """Permutation test for an arbitrary statistic of the label codes.
-
-    ``statistic`` must be a pure function of a codes array (the
-    observed codes or a permutation of them); it is evaluated once per
-    coding.  Inputs are never mutated; the same seed gives bit-identical
-    results.
-    """
-
-    def batch(codings: np.ndarray) -> np.ndarray:
-        return np.array([statistic(codes) for codes in codings], dtype=np.float64)
-
-    return _run_permutations(batch, labels, permutations, seed, method)
-
-
 def permutation_test(
     ranks: RankStructure,
     labels: LabelVector,
@@ -194,12 +143,31 @@ def permutation_test(
 
     The reported statistic and per-class terms come from ``estimate_fast``.
     More than ``MAX_EXACT_N`` observations are rejected before any n^2 work.
+    Inputs are never mutated; the same seed gives bit-identical results.
     """
     statistic = _mdd_keys(ranks, labels, include_diagonal)
-    result = _run_permutations(statistic, labels, permutations, seed)
+    if seed is None:
+        seed = fresh_seed()
+    if labels.num_classes == 1:
+        warnings.warn(
+            "labels hold a single class; the statistic is identically zero "
+            "and the permutation p-value is 1",
+            DegenerateLabelsWarning,
+        )
+    perms = draw_label_permutations(labels.n, permutations, seed)
+    p_value = _permutation_null(statistic, labels.codes, perms)[1]
+    # the kernel and the permutations are n^2 and B*n arrays: free them first
+    del statistic, perms
     est = estimate_fast(ranks, labels, include_diagonal=include_diagonal)
-    return replace(
-        result, statistic=est.value, scaled=labels.n * est.value, per_class=est.per_class
+    return TestResult(
+        statistic=est.value,
+        scaled=labels.n * est.value,
+        p_value=p_value,
+        permutations=permutations,
+        seed=seed,
+        n=labels.n,
+        num_classes=labels.num_classes,
+        per_class=est.per_class,
     )
 
 

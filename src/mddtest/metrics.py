@@ -232,7 +232,11 @@ def load_precomputed(matrix) -> DistanceMatrix:
         raise NonzeroDiagonal(
             f"diagonal magnitude {worst_diag:.3e} exceeds tolerance {DIAGONAL_TOL:g}"
         )
-    out = (values + values.T) / 2.0
+    # halve before adding, so entries near the float maximum cannot overflow;
+    # exactly symmetric entries are kept as they are
+    out = values.copy()
+    skew = values != values.T
+    out[skew] = values[skew] / 2.0 + values.T[skew] / 2.0
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(out)
 

@@ -140,6 +140,12 @@ def test_test_command_exit_codes(tmp_path, capsys):
     four = write(tmp_path / "four.csv", "0,0,1,0\n0,0,1,1\n")
     rc = main(["test", "--points", four, "--metric", "shape", "--labels", labels])
     assert rc == 2
+    # undecodable text and a field beyond the csv module's limit
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"\xff\xfe0,1\n1,0\n")
+    wide = write(tmp_path / "wide.csv", "0," + "9" * 200_000 + "\n")
+    for source in (str(latin), wide):
+        assert main(["test", "--matrix", source, "--labels", labels]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -341,6 +347,73 @@ def test_adjust_error_exits(tmp_path, capsys):
     assert main(["adjust", "--input", str(broken)]) == 2
     write(broken / "r.json", json.dumps({"schema_version": 1}))
     assert main(["adjust", "--input", str(broken)]) == 2
+    (broken / "r.json").write_bytes(b'{"p_value": \xff}')
+    assert main(["adjust", "--input", str(broken)]) == 2
+    capsys.readouterr()
+
+
+def test_column_outside_the_file_exits_2(tmp_path, capsys):
+    # a negative column must not count from the end of the row
+    src = write(tmp_path / "ps.csv", "0.5,0.1\n0.25,0.2\n")
+    for column in ("-1", "2"):
+        out = tmp_path / f"adj{column}.csv"
+        assert main(["adjust", "--input", src, "--column", column, "--output", str(out)]) == 2
+        assert not out.exists()
+    points, labels = write(tmp_path / "p.csv", "0\n1\n"), write(tmp_path / "l.csv", "0\n1\n")
+    for column in ("-1", "1"):
+        assert main([
+            "test", "--points", points, "--labels", labels, "--label-column", column,
+            "--output", str(tmp_path / "r.json"),
+        ]) == 2
+    assert "outside 0..1" in capsys.readouterr().err
+
+
+def test_adjust_header_rule_and_byte_identical_rows(tmp_path, capsys):
+    # the first row is a header when its field is missing or not a number
+    src = write(tmp_path / "ps.csv", "id\n a ,0.5\nb, 0.25\n")
+    out = tmp_path / "adj.csv"
+    assert main(["adjust", "--input", src, "--column", "1", "--output", str(out)]) == 0
+    assert out.read_bytes() == b"id,bh_adjusted\r\n a ,0.5,0.5\r\nb, 0.25,0.5\r\n"
+    assert main(["adjust", "--input", src, "--column", "1", "--header", "no"]) == 2
+    assert "row 1 has no column 1" in capsys.readouterr().err
+
+
+def test_adjust_rejects_results_the_schema_rejects(tmp_path, capsys):
+    points, labels = write(tmp_path / "p.csv", "0\n1\n"), write(tmp_path / "l.csv", "0\n1\n")
+    good = tmp_path / "good.json"
+    assert main([
+        "test", "--points", points, "--labels", labels, "--permutations", "5",
+        "--seed", "3", "--output", str(good),
+    ]) == 0
+    base = json.loads(good.read_text(encoding="utf-8"))
+    cases = (
+        ({"schema_version": 7}, "/schema_version"),
+        ({"statistic": -1.0}, "/statistic"),
+        ({"scaled": -0.5}, "/scaled"),
+        ({"per_class": [0.1, -0.1]}, "/per_class"),
+        ({"n": 1}, "/n"),
+        ({"R": 0}, "/R"),
+        ({"permutations": 0}, "/permutations"),
+        ({"p_value": 1.5}, "/p_value"),
+        ({"extra": 1}, "/extra"),
+    )
+    for change, pointer in cases:
+        results = tmp_path / pointer.strip("/")
+        results.mkdir()
+        write(results / "r.json", json.dumps(dict(base, **change)))
+        assert main(["adjust", "--input", str(results)]) == 2, change
+        assert f"r.json: {pointer}" in capsys.readouterr().err
+
+
+def test_matrix_entries_near_the_float_maximum_are_accepted(tmp_path, capsys):
+    matrix = write(tmp_path / "m.csv", "0,1e308\n1e308,0\n")
+    labels = write(tmp_path / "l.csv", "0\n1\n")
+    out = tmp_path / "r.json"
+    assert main([
+        "test", "--matrix", matrix, "--labels", labels, "--permutations", "5",
+        "--seed", "1", "--output", str(out),
+    ]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["statistic"] == 0.125
     capsys.readouterr()
 
 

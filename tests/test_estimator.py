@@ -272,3 +272,18 @@ def test_rank_arrays_are_frozen():
     for arr in (ranks.order, ranks.sorted_counts):
         assert not arr.flags.writeable
         assert arr.dtype == np.int32
+
+
+def test_stored_arrays_do_not_alias_the_callers_arrays():
+    codes = np.array([0, 1, 1, 0, 2], dtype=np.int64)
+    labels = LabelVector(codes, 3)
+    values = np.array([[0.0, 1.0], [1.0, 0.0]])
+    d = DistanceMatrix(values)
+    for stored in (labels.codes, labels.counts, labels.proportions, d.values):
+        assert not stored.flags.writeable
+    codes[:] = 0
+    values[0, 1] = 7.0
+    assert codes.flags.writeable and values.flags.writeable
+    assert labels.codes.tolist() == [0, 1, 1, 0, 2]
+    assert labels.counts.tolist() == [2, 2, 1]
+    assert d.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]

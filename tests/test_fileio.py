@@ -7,7 +7,6 @@ from mddtest import (
     CsvFormatError,
     ExperimentGrid,
     GridConfigError,
-    OutOfRangePValue,
     build_ranks,
     permutation_test,
 )
@@ -17,20 +16,20 @@ from mddtest.fileio import (
     grid_from_dict,
     load_grid_json,
     load_labels_csv,
-    load_matrix_csv,
     load_numeric_csv,
     load_preset,
     load_result_schema,
     preset_names,
+    read_column,
     read_csv_rows,
     result_csv_rows,
     result_to_dict,
     validate_result_dict,
     write_csv,
     write_json,
-    write_matrix_csv,
 )
 from conftest import random_distances, random_labels
+from mddtest.fileio import _check_schema
 
 
 def test_fmt_float_round_trips():
@@ -42,12 +41,11 @@ def test_matrix_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     values = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-12, 12, size=(6, 4))
     path = tmp_path / "m.csv"
-    write_matrix_csv(path, values)
-    assert np.array_equal(load_matrix_csv(path), values)
-    write_matrix_csv(path, values, header=["a", "b", "c", "d"])
-    loaded, header = load_numeric_csv(path)
-    assert header == ["a", "b", "c", "d"]
-    assert np.array_equal(loaded, values)
+    rows = [[fmt_float(v) for v in row] for row in values]
+    write_csv(path, rows)
+    assert np.array_equal(load_numeric_csv(path), values)
+    write_csv(path, [["a", "b", "c", "d"]] + rows)
+    assert np.array_equal(load_numeric_csv(path), values)
 
 
 def test_load_numeric_csv_errors(tmp_path):
@@ -71,9 +69,7 @@ def test_load_numeric_csv_errors(tmp_path):
 def test_load_numeric_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("x,y\n\n1,2\n\n3,4\n", encoding="utf-8")
-    values, header = load_numeric_csv(path)
-    assert header == ["x", "y"]
-    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert load_numeric_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_load_labels_csv_modes(tmp_path):
@@ -152,11 +148,60 @@ def test_validate_result_dict_rejections():
     broken = dict(base, per_class=[0.1, True])
     with pytest.raises(GridConfigError, match="/per_class"):
         validate_result_dict(broken)
-    with pytest.raises(OutOfRangePValue):
+    with pytest.raises(GridConfigError, match="/p_value"):
         validate_result_dict(dict(base, p_value=1.5))
     with pytest.raises(GridConfigError):
         validate_result_dict([])
     validate_result_dict(dict(base, per_class=None))
+
+
+def test_validate_result_dict_follows_the_schema():
+    base = result_to_dict(make_result())
+    cases = (
+        (dict(base, schema_version=2), "/schema_version"),
+        (dict(base, schema_version=True), "/schema_version"),
+        (dict(base, statistic=-0.5), "/statistic"),
+        (dict(base, statistic=float("nan")), "/statistic"),
+        (dict(base, p_value=float("nan")), "/p_value"),
+        (dict(base, n=1), "/n"),
+        (dict(base, n=2.0), "/n"),
+        (dict(base, R=0), "/R"),
+        (dict(base, permutations=0), "/permutations"),
+        (dict(base, seed=False), "/seed"),
+        (dict(base, per_class=[0.1, -1.0]), "/per_class"),
+        (dict(base, per_class="none"), "/per_class"),
+        (dict(base, **{"a/b~c": 1}), "/a~1b~0c"),
+    )
+    for obj, pointer in cases:
+        with pytest.raises(GridConfigError) as err:
+            validate_result_dict(obj)
+        assert str(err.value).startswith(pointer + ":"), (obj, str(err.value))
+    validate_result_dict(dict(base, p_value=1, statistic=0, seed=-(2**70)))
+
+
+def test_schema_walk_rejects_unknown_keywords_and_ambiguous_forms():
+    with pytest.raises(NotImplementedError, match="pattern"):
+        _check_schema("x", {"type": "string", "pattern": "x"}, "")
+    both = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    with pytest.raises(GridConfigError, match="matches 2 of"):
+        _check_schema(3, both, "/v")
+    _check_schema(3.5, both, "/v")
+    nested = {"type": "object", "additionalProperties": {"type": "array", "items": {"type": "null"}}}
+    _check_schema({"a": [None]}, nested, "")
+    with pytest.raises(GridConfigError, match="^/a/1: expected null"):
+        _check_schema({"a": [None, 0]}, nested, "")
+
+
+def test_read_column_header_rule_and_range(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("id\n a ,0.5\nb,0.25\n", encoding="utf-8")
+    assert read_column(path, 1) == (["id"], [[" a ", "0.5"], ["b", "0.25"]], ["0.5", "0.25"])
+    assert read_column(path, 0) == (None, [["id"], [" a ", "0.5"], ["b", "0.25"]], ["id", "a", "b"])
+    with pytest.raises(CsvFormatError, match="row 1 has no column 1"):
+        read_column(path, 1, header="no")
+    for column in (-1, 2):
+        with pytest.raises(CsvFormatError, match="outside 0..1"):
+            read_column(path, column)
 
 
 def test_result_csv_rows_shape():

@@ -113,7 +113,7 @@ def test_run_grid_matches_manual_replication():
                 "mdd": lambda codes: estimate_fast(ranks, relabeled(codes)).value,
                 "dcov": lambda codes: dcov_statistic(
                     d, discrete_label_distances(relabeled(codes))
-                ).value,
+                ),
                 "hhg": lambda codes: hhg_discrete_loop(ranks, codes, labels.counts),
             }
             pvals = _run_replicate((grid, cell_index, rep))[2]
@@ -143,7 +143,7 @@ def test_dcov_pvalue_matches_the_loop_oracle_on_balanced_small_samples():
         rng.shuffle(codes)
 
         def stat(c):
-            return dcov_statistic(d, discrete_label_distances(LabelVector.from_codes(c, 3))).value
+            return dcov_statistic(d, discrete_label_distances(LabelVector.from_codes(c, 3)))
 
         oracle = pvalue_from_null(stat(codes), np.array([stat(codes[p]) for p in perms]))
         labels = LabelVector.from_codes(codes)

@@ -22,7 +22,6 @@ from mddtest import (
     euclidean_distances,
     fresh_seed,
     permutation_test,
-    permutation_test_statistic,
     pvalue_from_null,
     scaling_diagnostic,
 )
@@ -40,14 +39,6 @@ def test_pvalue_from_null_worked_example():
     assert pvalue_from_null(4.0, null) == 0.4
     with pytest.raises(InvalidB):
         pvalue_from_null(1.0, np.array([]))
-
-
-def test_constant_statistic_gives_p_one():
-    labels = LabelVector.from_codes(np.array([0, 1, 0, 1, 1, 0]))
-    result = permutation_test_statistic(lambda codes: 1.0, labels, permutations=19, seed=3)
-    assert result.p_value == 1.0
-    assert result.statistic == 1.0
-    assert result.scaled == 6.0
 
 
 def test_single_class_labels_warn_and_p_is_one():
@@ -140,7 +131,7 @@ def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeyp
     n = MAX_EXACT_N + 1
     stand_in = RankStructure(order=None, sorted_counts=None, n=n)
     monkeypatch.setattr(cli, "load_precomputed", lambda values: SimpleNamespace(n=n))
-    monkeypatch.setattr(cli.fileio, "load_matrix_csv", lambda path: None)
+    monkeypatch.setattr(cli.fileio, "load_numeric_csv", lambda path: None)
     monkeypatch.setattr(cli, "build_ranks", lambda d: stand_in)
     labels_csv = tmp_path / "labels.csv"
     labels_csv.write_text("".join(f"{i % 2}\n" for i in range(n)), encoding="utf-8")

@@ -252,3 +252,12 @@ def test_unit_sphere_embedding():
     assert override.descriptor == "s"
     with pytest.raises(DegenerateShape):
         unit_sphere_embedding(PointSet.euclidean([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_load_precomputed_averages_without_overflow():
+    # (a + b) / 2 overflows to inf here; the exactly symmetric entries must be
+    # kept, and under the suite's RuntimeWarning filter a warning would fail
+    big = np.array([[0.0, 1e308, 1.7e308], [1e308, 0.0, 5.0], [1.7e308, 5.0, 0.0]])
+    assert np.array_equal(load_precomputed(big).values, big)
+    near = np.array([[0.0, 1e-300], [2e-300, 0.0]])
+    assert load_precomputed(near).values[0, 1] == 1.5e-300
