@@ -4,9 +4,10 @@ Commands: ``test`` (one dataset, one p-value), ``simulate`` (a grid of
 Monte Carlo cells) and ``adjust`` (Benjamini-Hochberg over a batch of
 p-values).  Timing lives outside the package, in ``perfbench/``.
 
-Exit codes: 0 on success, 2 on malformed input or an input too large
-for memory, 3 on a distance or point-space violation, 4 on an internal
-failure.
+Exit codes follow the error class: 0 on success, 3 on a distance or
+point-space violation (:class:`MetricError`), 2 on any other
+:class:`MddError`, an unreadable or unwritable path (``OSError``) or an
+input too large for memory, 4 on an internal failure.
 """
 
 from __future__ import annotations
@@ -17,38 +18,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
-from .errors import (
-    CsvFormatError,
-    GridConfigError,
-    InvalidB,
-    InvalidLabels,
-    InvalidR,
-    InvalidReps,
-    InvalidSpec,
-    MddError,
-    MetricError,
-    OutOfRangePValue,
-    SizeMismatch,
-    TooFewSamples,
-)
+from .errors import CsvFormatError, InvalidSpec, MddError, MetricError, SizeMismatch
 from .estimator import LabelVector, build_ranks
 from .harness import GridCell, distances_for, run_grid
 from .inference import bh_adjust, permutation_test
 from .metrics import PointSet, load_precomputed
-
-_INPUT_ERRORS = (
-    CsvFormatError,
-    GridConfigError,
-    OutOfRangePValue,
-    InvalidB,
-    InvalidReps,
-    InvalidR,
-    InvalidSpec,
-    InvalidLabels,
-    SizeMismatch,
-    TooFewSamples,
-    FileNotFoundError,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -232,12 +206,9 @@ def main(argv=None) -> int:
     except MetricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
+    except (MddError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MddError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MemoryError as exc:
         detail = str(exc) or "an allocation failed"
         print(f"error: not enough memory for this input: {detail}", file=sys.stderr)

@@ -2,8 +2,9 @@
 
 CSV files are comma separated with ``.`` decimals, UTF-8 encoded; an
 optional header row is detected by a non-numeric first row (for one
-column, by its first field).  Result files are checked against
-``schemas/result.schema.json``, the only copy of that format.  Numbers
+column, by its first field).  Result and grid files are checked
+against ``schemas/result.schema.json`` and ``schemas/grid.schema.json``,
+the only copies of those formats.  Numbers
 are written in shortest round-trip decimal form, so a dump-then-load
 cycle reproduces every float bit for bit.  JSON output is rendered
 with sorted keys and fixed indentation, so identical inputs serialise
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError, GridConfigError
+from .errors import CsvFormatError, GridConfigError, MddError
 from .harness import ExperimentGrid, GridCell
 from .inference import TestResult
 from .simulate import ScenarioSpec
@@ -170,43 +171,50 @@ def result_to_dict(result: TestResult) -> dict:
     return out
 
 
-def load_result_schema() -> dict:
+def load_schema(name: str) -> dict:
+    """The bundled ``schemas/{name}.schema.json``, parsed."""
     text = (
-        resources.files("mddtest").joinpath("schemas/result.schema.json").read_text("utf-8")
+        resources.files("mddtest").joinpath(f"schemas/{name}.schema.json").read_text("utf-8")
     )
     return json.loads(text)
 
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
-               "number": (int, float), "null": type(None)}
+               "number": (int, float), "boolean": bool, "null": type(None)}
 _SCHEMA_KEYWORDS = {
-    "type", "const", "minimum", "maximum", "required", "properties",
-    "additionalProperties", "items", "oneOf", "$schema", "$id", "title",
+    "type", "const", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+    "required", "properties", "additionalProperties", "items", "oneOf",
+    "$schema", "$id", "title",
 }
 
 
 def _check_schema(value, schema: dict, pointer: str) -> None:
     """Raise :class:`GridConfigError` at the first place ``value`` breaks ``schema``.
 
-    Only the keywords the result schema uses are understood; any other
+    Only the keywords the bundled schemas use are understood; any other
     keyword is an error, so it can never be skipped unnoticed.
     """
     if set(schema) - _SCHEMA_KEYWORDS:
         raise NotImplementedError(f"unsupported schema keywords {set(schema) - _SCHEMA_KEYWORDS}")
     where = pointer or "/"
     kind = schema.get("type")
-    # a bool is a Python int, but neither a JSON integer nor a number
+    # a bool is a Python int, but only a JSON boolean, never an integer or number
     if kind is not None and (
-        isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
+        isinstance(value, bool) != (kind == "boolean")
+        or not isinstance(value, _JSON_TYPES[kind])
     ):
         raise GridConfigError(f"{where}: expected {kind}")
     if "const" in schema and value != schema["const"]:
         raise GridConfigError(f"{where}: must be {schema['const']!r}, got {value!r}")
-    # written so that NaN fails both bounds
+    # written so that NaN fails every bound
     if "minimum" in schema and not value >= schema["minimum"]:
         raise GridConfigError(f"{where}: {value!r} is below {schema['minimum']}")
     if "maximum" in schema and not value <= schema["maximum"]:
         raise GridConfigError(f"{where}: {value!r} is above {schema['maximum']}")
+    if "exclusiveMinimum" in schema and not value > schema["exclusiveMinimum"]:
+        raise GridConfigError(f"{where}: {value!r} is not above {schema['exclusiveMinimum']}")
+    if "exclusiveMaximum" in schema and not value < schema["exclusiveMaximum"]:
+        raise GridConfigError(f"{where}: {value!r} is not below {schema['exclusiveMaximum']}")
     for key in schema.get("required", ()):
         if key not in value:
             raise GridConfigError(f"{pointer}/{key}: required field is missing")
@@ -235,15 +243,25 @@ def _check_schema(value, schema: dict, pointer: str) -> None:
 
 def validate_result_dict(obj) -> None:
     """Check a result dictionary against ``schemas/result.schema.json``."""
-    _check_schema(obj, load_result_schema(), "")
+    _check_schema(obj, load_schema("result"), "")
+
+
+def _read_json(path):
+    """Parse one UTF-8 JSON file; every failure, too deep nesting included, names the file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise GridConfigError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise GridConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_result_json(path) -> dict:
     """Read one result JSON file and validate it; errors name the file."""
+    obj = _read_json(path)
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
         validate_result_dict(obj)
-    except (OSError, ValueError) as exc:
+    except GridConfigError as exc:
         raise GridConfigError(f"{path}: {exc}") from exc
     return obj
 
@@ -276,120 +294,41 @@ def result_csv_rows(result: TestResult) -> list[list[str]]:
     return [header, row]
 
 
-_CELL_KEYS = {
-    "scenario": str,
-    "column": int,
-    "R": int,
-    "n": int,
-    "dim": int,
-    "landmarks": int,
-    "corr": (int, float),
-    "null": bool,
-    "noise": str,
-    "mean_gap": (int, float),
-    "kappa": (int, float),
-    "reps": int,
-}
-
-_GRID_KEYS = {
-    "name": str,
-    "seed": int,
-    "reps": int,
-    "permutations": int,
-    "alpha": (int, float),
-    "tests": list,
-    "sphere_metric": str,
-    "cells": list,
-}
-
-
-def _check_type(value, kind, pointer: str):
-    if isinstance(value, bool) and kind is not bool:
-        raise GridConfigError(f"{pointer}: wrong type")
-    if not isinstance(value, kind):
-        raise GridConfigError(f"{pointer}: wrong type")
-    return value
-
-
-def grid_from_dict(obj: dict) -> ExperimentGrid:
+def grid_from_dict(obj) -> ExperimentGrid:
     """Build an :class:`ExperimentGrid` from parsed JSON.
 
+    The object is checked against ``schemas/grid.schema.json`` first.
     Validation failures raise :class:`GridConfigError` whose message
     starts with a JSON-pointer-style path to the offending field.
     """
-    if not isinstance(obj, dict):
-        raise GridConfigError("/: grid config must be a JSON object")
-    for key in obj:
-        if key not in _GRID_KEYS:
-            raise GridConfigError(f"/{key}: unknown field")
-    for key in ("seed", "reps", "permutations", "cells"):
-        if key not in obj:
-            raise GridConfigError(f"/{key}: required field is missing")
-    for key, kind in _GRID_KEYS.items():
-        if key in obj:
-            _check_type(obj[key], kind, f"/{key}")
-    if obj["reps"] < 1:
-        raise GridConfigError(f"/reps: must be >= 1, got {obj['reps']}")
-    if obj["permutations"] < 1:
-        raise GridConfigError(f"/permutations: must be >= 1, got {obj['permutations']}")
-    alpha = obj.get("alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise GridConfigError(f"/alpha: must lie in (0, 1), got {alpha}")
-    tests = obj.get("tests", ["mdd"])
-    for t_index, test in enumerate(tests):
-        _check_type(test, str, f"/tests/{t_index}")
+    _check_schema(obj, load_schema("grid"), "")
     cells = []
-    for c_index, cell_obj in enumerate(obj["cells"]):
-        pointer = f"/cells/{c_index}"
-        if not isinstance(cell_obj, dict):
-            raise GridConfigError(f"{pointer}: cell must be a JSON object")
-        for key in cell_obj:
-            if key not in _CELL_KEYS:
-                raise GridConfigError(f"{pointer}/{key}: unknown field")
-        for key, kind in _CELL_KEYS.items():
-            if key in cell_obj:
-                _check_type(cell_obj[key], kind, f"{pointer}/{key}")
-        if "scenario" not in cell_obj or "n" not in cell_obj:
-            missing = "scenario" if "scenario" not in cell_obj else "n"
-            raise GridConfigError(f"{pointer}/{missing}: required field is missing")
-        cell_reps = cell_obj.get("reps")
-        if cell_reps is not None and cell_reps < 1:
-            raise GridConfigError(f"{pointer}/reps: must be >= 1, got {cell_reps}")
-        spec_kwargs = {k: v for k, v in cell_obj.items() if k != "reps"}
-        if "corr" in spec_kwargs:
-            spec_kwargs["corr"] = float(spec_kwargs["corr"])
+    for index, cell in enumerate(obj["cells"]):
+        fields = {k: v for k, v in cell.items() if k != "reps"}
+        if "corr" in fields:
+            fields["corr"] = float(fields["corr"])
         try:
-            spec = ScenarioSpec(**spec_kwargs)
-        except Exception as exc:
-            raise GridConfigError(f"{pointer}: {exc}") from exc
-        cells.append(GridCell(spec=spec, reps=cell_reps))
+            spec = ScenarioSpec(**fields)
+        except MddError as exc:
+            raise GridConfigError(f"/cells/{index}: {exc}") from exc
+        cells.append(GridCell(spec=spec, reps=cell.get("reps")))
     try:
         return ExperimentGrid(
             cells=tuple(cells),
             reps=obj["reps"],
             permutations=obj["permutations"],
-            alpha=float(alpha),
-            tests=tuple(tests),
+            alpha=float(obj.get("alpha", 0.05)),
+            tests=tuple(obj.get("tests", ["mdd"])),
             seed=obj["seed"],
             sphere_metric=obj.get("sphere_metric", "euclidean"),
             name=obj.get("name", ""),
         )
-    except GridConfigError:
-        raise
-    except Exception as exc:
+    except MddError as exc:
         raise GridConfigError(f"/: {exc}") from exc
 
 
 def load_grid_json(path) -> ExperimentGrid:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise GridConfigError(f"cannot read {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GridConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return grid_from_dict(obj)
+    return grid_from_dict(_read_json(path))
 
 
 def preset_names() -> list[str]:

@@ -73,6 +73,10 @@ class ExperimentGrid:
             raise InvalidSpec(f"unknown tests {bad}; supported: {list(KNOWN_TESTS)}")
         if len(self.tests) == 0:
             raise InvalidSpec("at least one test must be requested")
+        if len(set(self.tests)) != len(self.tests):
+            raise InvalidSpec(f"each test may be requested once, got {list(self.tests)}")
+        if self.seed < 0:
+            raise InvalidSpec(f"the master seed must be >= 0, got {self.seed}")
         if self.sphere_metric not in SPHERE_METRICS:
             raise InvalidSpec(
                 f"sphere_metric must be one of {SPHERE_METRICS}, got {self.sphere_metric!r}"

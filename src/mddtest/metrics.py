@@ -73,7 +73,8 @@ class PointSet:
         if not np.isfinite(data).all():
             raise NonFinitePoint("point coordinates must be finite")
         if self.kind == "sphere":
-            norms = np.sqrt((data * data).sum(axis=1))
+            with np.errstate(over="ignore"):  # an overflowing norm reads inf, far from 1
+                norms = np.sqrt((data * data).sum(axis=1))
             worst = float(np.abs(norms - 1.0).max())
             if worst > UNIT_NORM_TOL:
                 raise NotUnitNorm(
@@ -82,8 +83,11 @@ class PointSet:
         if self.kind == "shape":
             if data.shape[1] < 3:
                 raise ValueError("landmark configurations need at least 3 landmarks")
-            centred = data - data.mean(axis=1, keepdims=True)
-            norms = np.sqrt((centred * centred).sum(axis=(1, 2)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                centred = data - data.mean(axis=1, keepdims=True)
+                norms = np.sqrt((centred * centred).sum(axis=(1, 2)))
+            if not np.isfinite(norms).all():
+                raise NonFinitePoint("a configuration overflows float64 when centred and scaled")
             if norms.min() < DEGENERATE_SHAPE_TOL:
                 raise DegenerateShape(
                     "a configuration collapses to its centroid; shape is undefined"
@@ -152,8 +156,11 @@ def euclidean_distances(points: PointSet) -> DistanceMatrix:
     data = points.data
     n = points.n
     iu, ju = np.triu_indices(n, 1)
-    diff = data[iu] - data[ju]
-    vals = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    with np.errstate(over="ignore"):
+        diff = data[iu] - data[ju]
+        vals = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if not np.isfinite(vals).all():
+        raise NonFiniteEntry("a pairwise distance overflows float64; rescale the points")
     out = np.zeros((n, n))
     out[iu, ju] = vals
     out[ju, iu] = vals

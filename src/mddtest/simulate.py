@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import InvalidR, InvalidSpec
 from .estimator import LabelVector
+from .inference import _substream
 from .metrics import PointSet
 
 SCENARIOS = ("sim1", "sim2", "sim3", "sim4")
@@ -76,6 +77,8 @@ class ScenarioSpec:
             raise InvalidSpec(f"column must be 1, 2 or 3, got {self.column}")
         if self.R < 1:
             raise InvalidR(f"the class count must be >= 1, got {self.R}")
+        if self.scenario == "sim4" and self.R != 2:
+            raise InvalidR(f"the shape scenario is defined for R=2, got R={self.R}")
         if self.n < 2 * self.R:
             raise InvalidSpec(
                 f"need n >= 2R so classes can be populated, got n={self.n}, R={self.R}"
@@ -93,11 +96,14 @@ class ScenarioSpec:
                 raise InvalidSpec(f"corr must lie in [0, 1), got {self.corr}")
         if self.noise is not None and self.noise not in NOISE_KINDS:
             raise InvalidSpec(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-
-
-def _rng(seed: int, salt: int = 0) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, salt], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+        # NaN or infinite concentrations never finish the rejection sampler
+        if self.kappa is not None and not 0.0 <= self.kappa < np.inf:
+            raise InvalidSpec(f"kappa must be finite and >= 0, got {self.kappa}")
+        if self.mean_gap is not None and not np.isfinite(self.mean_gap):
+            raise InvalidSpec(f"mean_gap must be finite, got {self.mean_gap}")
+        gaussian = self.scenario in ("sim2", "sim3") and self.column == 3 and not self.null
+        if gaussian and self.mean_gap is None and self.R not in _GAUSS_CLASS_MEANS:
+            raise InvalidSpec(f"no standard Gaussian means for R={self.R}; set mean_gap")
 
 
 def label_proportions(R: int) -> np.ndarray:
@@ -131,7 +137,7 @@ def gen_labels(R: int, n: int, seed: int) -> LabelVector:
         raise InvalidR(f"the class count must be >= 1, got {R}")
     if n < 2 * R:
         raise InvalidSpec(f"need n >= 2R, got n={n}, R={R}")
-    return _draw_labels(_rng(seed, 1), R, n)
+    return _draw_labels(_substream(seed, 1), R, n)
 
 
 def _noise_draws(rng: np.random.Generator, kind: str, size) -> np.ndarray:
@@ -153,7 +159,7 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
     draw is taken per observation and added to each of its ``phi``
     coordinates.
     """
-    rng = _rng(seed, 1)
+    rng = _substream(seed, 1)
     labels = _draw_labels(rng, spec.R, spec.n)
     n = spec.n
     q = spec.dim - 2
@@ -246,7 +252,7 @@ def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     (4, 3, 1, 5, 2)).  Independence cells draw uniformly on the sphere
     (zero concentration).
     """
-    rng = _rng(seed, 1)
+    rng = _substream(seed, 1)
     labels = _draw_labels(rng, spec.R, spec.n)
     kappa = 1.0 if spec.kappa is None else spec.kappa
     rows = np.empty((spec.n, spec.dim))
@@ -281,7 +287,7 @@ def gen_gaussian(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     class counts require an explicit ``mean_gap`` giving means
     ``(0, gap, 2 gap, ...)``.
     """
-    rng = _rng(seed, 1)
+    rng = _substream(seed, 1)
     labels = _draw_labels(rng, spec.R, spec.n)
     means = _gaussian_means(spec)
     rows = rng.standard_normal((spec.n, spec.dim)) + means[labels.codes][:, None]
@@ -307,7 +313,7 @@ def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVe
     """
     if spec.R != 2:
         raise InvalidR(f"the shape scenario is defined for R=2, got R={spec.R}")
-    rng = _rng(seed, 1)
+    rng = _substream(seed, 1)
     labels = _draw_labels(rng, spec.R, spec.n)
     L = spec.landmarks
     t = (np.arange(L) + 0.5) * (2.0 * np.pi / L)

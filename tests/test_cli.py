@@ -279,6 +279,60 @@ def test_simulate_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_repeated_tests_before_running(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main([
+        "simulate", "--preset", "table2", "--reps", "4", "--permutations", "19",
+        "--tests", "mdd,mdd,dcov", "--output", str(out),
+    ])
+    assert rc == 2
+    assert "once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_master_seed_exits_2(tmp_path, capsys):
+    grid = write(tmp_path / "grid.json", json.dumps(GRID))
+    assert main(["simulate", "--grid", grid, "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    negative = write(tmp_path / "negative.json", json.dumps(dict(GRID, seed=-5)))
+    assert main(["simulate", "--grid", negative]) == 2
+    assert capsys.readouterr().err.startswith("error: /seed:")
+
+
+def test_output_path_that_is_a_directory_exits_2(two_point_files, tmp_path, capsys):
+    points, labels = two_point_files
+    assert main([
+        "test", "--points", points, "--labels", labels, "--permutations", "5",
+        "--seed", "1", "--output", str(tmp_path),
+    ]) == 2
+    grid = write(tmp_path / "grid.json", json.dumps(GRID))
+    assert main(["simulate", "--grid", grid, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and err.count("error:") == 2
+
+
+def test_point_coordinates_that_overflow_exit_3(tmp_path, capsys):
+    labels = write(tmp_path / "l.csv", "0\n1\n")
+    cases = (
+        ("euclidean", "1e308,0,0\n-1e308,0,0\n", "overflows"),
+        ("euclidean", "1e200,0,0\n-1e200,0,0\n", "overflows"),
+        ("sphere", "1e308,0,0\n-1e308,0,0\n", "norm"),
+        ("shape", "1e308,0,0,0,0,1\n-1e308,0,0,1,1,0\n", "overflows"),
+        # centring alone stays finite here, but the squared size overflows
+        ("shape", "1e200,0,0,0,0,1\n-1e200,0,0,1,1,0\n", "overflows"),
+    )
+    for metric, rows, message in cases:
+        points = write(tmp_path / "p.csv", rows)
+        rc = main([
+            "test", "--points", points, "--metric", metric, "--labels", labels,
+            "--permutations", "5", "--seed", "1", "--output", str(tmp_path / "r.json"),
+        ])
+        assert rc == 3, (metric, rows)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_adjust_csv_with_header(tmp_path, capsys):
     src = tmp_path / "ps.csv"
     write(src, "p\n0.01\n0.02\n0.03\n0.04\n")

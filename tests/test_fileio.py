@@ -18,7 +18,7 @@ from mddtest.fileio import (
     load_labels_csv,
     load_numeric_csv,
     load_preset,
-    load_result_schema,
+    load_schema,
     preset_names,
     read_column,
     read_csv_rows,
@@ -126,7 +126,7 @@ def test_result_dict_round_trip_and_validation():
     assert obj["R"] == result.num_classes
     assert obj["per_class"] == list(result.per_class)
     # the schema file names exactly the serialised fields
-    schema = load_result_schema()
+    schema = load_schema("result")
     assert set(schema["required"]) == set(obj)
     assert schema["properties"]["schema_version"]["const"] == 1
     assert schema["additionalProperties"] is False
@@ -190,6 +190,22 @@ def test_schema_walk_rejects_unknown_keywords_and_ambiguous_forms():
     _check_schema({"a": [None]}, nested, "")
     with pytest.raises(GridConfigError, match="^/a/1: expected null"):
         _check_schema({"a": [None, 0]}, nested, "")
+    # a bool matches boolean and nothing else; NaN fails every bound
+    _check_schema(False, {"type": "boolean"}, "/b")
+    open_unit = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+    _check_schema(0.5, open_unit, "/p")
+    for value, schema, message in (
+        (0, {"type": "boolean"}, "expected boolean"),
+        (None, {"type": "boolean"}, "expected boolean"),
+        (True, {"type": "integer"}, "expected integer"),
+        (0.0, open_unit, "not above 0"),
+        (1, open_unit, "not below 1"),
+        (float("nan"), open_unit, "not above 0"),
+        (float("nan"), {"type": "number", "exclusiveMaximum": 1}, "not below 1"),
+        (float("inf"), open_unit, "not below 1"),
+    ):
+        with pytest.raises(GridConfigError, match=f"^/v: .*{message}"):
+            _check_schema(value, schema, "/v")
 
 
 def test_read_column_header_rule_and_range(tmp_path):
@@ -261,6 +277,16 @@ def test_grid_from_dict_pointer_errors():
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim4", "n": 12, "corr": 1.5}]), "/cells/0"),
         (dict(MINIMAL_GRID, cells=[7]), "/cells/0"),
         (dict(MINIMAL_GRID, tests=["energy"]), "/"),
+        (dict(MINIMAL_GRID, tests=["mdd", "dcov", "mdd"]), "/: each test"),
+        (dict(MINIMAL_GRID, seed=-5), "/seed"),
+        (dict(MINIMAL_GRID, alpha=0), "/alpha"),
+        (dict(MINIMAL_GRID, alpha=float("nan")), "/alpha"),
+        (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], null=1)]), "/cells/0/null"),
+        (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], kappa=-1)]), "/cells/0"),
+        # cells that the generators reject are refused before any replicate runs
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 40, "reps": 40},
+                                   {"scenario": "sim4", "n": 40, "R": 3}]), "/cells/1"),
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim3", "n": 40, "R": 3}]), "/cells/0"),
         ([], "/"),
     )
     for obj, pointer in cases:
@@ -276,8 +302,13 @@ def test_load_grid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(GridConfigError, match="not valid JSON"):
         load_grid_json(path)
-    with pytest.raises(GridConfigError):
+    with pytest.raises(GridConfigError, match="^cannot read"):
         load_grid_json(tmp_path / "absent.json")
+    latin = json.dumps(dict(MINIMAL_GRID, name="café"), ensure_ascii=False).encode("latin-1")
+    for data in (latin, b"[" * 100_000):
+        path.write_bytes(data)
+        with pytest.raises(GridConfigError, match="not valid JSON"):
+            load_grid_json(path)
 
 
 def test_presets_load_and_cover_the_study_layouts():

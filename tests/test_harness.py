@@ -226,6 +226,12 @@ def test_experiment_grid_validation():
         ExperimentGrid(cells=(cell,), tests=())
     with pytest.raises(InvalidSpec):
         ExperimentGrid(cells=(cell,), sphere_metric="chordal")
+    # a repeated test would count each rejection once per repeat
+    with pytest.raises(InvalidSpec, match="once"):
+        ExperimentGrid(cells=(cell,), tests=("mdd", "mdd", "dcov"))
+    # SeedSequence takes no negative master seed
+    with pytest.raises(InvalidSpec, match="seed"):
+        ExperimentGrid(cells=(cell,), seed=-1)
 
 
 def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):

@@ -1,11 +1,12 @@
 """Property tests: malformed input files never reach the internal-error exit.
 
-Exit 4 means a fault in the program, so every malformed CSV or result
-file must exit 0, 2 or 3.  The examples are derandomised, so the suite
-runs the same cases every time.
+Exit 4 means a fault in the program, so every malformed CSV, result or
+grid file must exit 0, 2 or 3.  The examples are derandomised, so the
+suite runs the same cases every time.
 """
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -19,15 +20,14 @@ from hypothesis import strategies as st
 from conftest import random_distances, random_labels
 from mddtest import build_ranks, permutation_test
 from mddtest.cli import main
-from mddtest.fileio import result_to_dict, validate_result_dict
+from mddtest.fileio import grid_from_dict, result_to_dict, validate_result_dict
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 # single-class label files are valid input and warn by design
 pytestmark = pytest.mark.filterwarnings("ignore::mddtest.DegenerateLabelsWarning")
 
 NUMBERS = ("0", "1", "2", "0.5", " 3 ", "-1", "1e-9", "nan", "inf", "1_0")
-# point coordinates near the float maximum overflow in the distance step,
-# a known open fault, so the point files hold only moderate numbers
+POINT_NUMBERS = NUMBERS + ("1e308", "-1e308", "1.7e308")
 MATRIX_NUMBERS = NUMBERS + ("1e308", "1.7e308", "4.9e-324")
 WORDS = ("", " ", "x", "a b", "#", "1e", "--", '"q"', "0x1")
 
@@ -61,13 +61,26 @@ def test_matrix_and_label_files_never_exit_4(data, labels, column):
         assert run_test_command(Path(tmp), "--matrix", "euclidean", data, labels, column) in (0, 2, 3)
 
 
+@st.composite
+def matched_point_files(draw, numbers):
+    """A rectangular table of numbers and a label file of the same length,
+    so the example reaches the distance step."""
+    n = draw(st.integers(2, 5))
+    width = draw(st.sampled_from((1, 3, 6)))
+    field = st.sampled_from(numbers)
+    rows = [",".join(draw(st.lists(field, min_size=width, max_size=width))) for _ in range(n)]
+    labels = draw(st.lists(st.sampled_from(("0", "1")), min_size=n, max_size=n))
+    return "\n".join(rows), "\n".join(labels)
+
+
 @SETTINGS
 @given(
-    data=csv_text(NUMBERS),
-    labels=csv_text(NUMBERS),
+    files=st.tuples(csv_text(POINT_NUMBERS), csv_text(NUMBERS))
+    | matched_point_files(POINT_NUMBERS),
     metric=st.sampled_from(("euclidean", "sphere", "shape")),
 )
-def test_point_files_never_exit_4(data, labels, metric):
+def test_point_files_never_exit_4(files, metric):
+    data, labels = files
     with tempfile.TemporaryDirectory() as tmp:
         assert run_test_command(Path(tmp), "--points", metric, data, labels, 0) in (0, 2, 3)
 
@@ -137,3 +150,53 @@ def test_adjust_on_malformed_results_never_exits_4(result, key, action, value):
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "r.json").write_text(json.dumps(result), encoding="utf-8")
         assert run_cli(["adjust", "--input", tmp]) == (0 if valid else 2)
+
+
+MINIMAL_GRID = {"seed": 3, "reps": 1, "permutations": 3, "cells": [{"scenario": "sim2", "n": 8}]}
+GRID_KEYS = ("name", "seed", "reps", "permutations", "alpha", "tests", "sphere_metric",
+             "cells", "extra")
+CELL_KEYS = ("scenario", "column", "R", "n", "dim", "landmarks", "corr", "null", "noise",
+             "mean_gap", "kappa", "reps", "extra")
+NAMES = ("sim1", "sim3", "sim4", "t1", "none", "mdd", "dcov", "hhg", "geodesic", "euclidean")
+# counts stay small, so no accepted grid grows past a few milliseconds of work
+GRID_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2.0, 2.0)
+    | st.sampled_from((float("nan"), float("inf"), -float("inf")))
+    | st.sampled_from(NAMES) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@SETTINGS
+@given(
+    target=st.sampled_from([("grid", k) for k in GRID_KEYS] + [("cell", k) for k in CELL_KEYS]),
+    action=st.sampled_from(("delete", "replace", "whole", "latin-1")),
+    value=GRID_VALUES,
+)
+def test_simulate_on_mutated_grids_exits_0_exactly_when_the_grid_is_accepted(
+    target, action, value
+):
+    grid = copy.deepcopy(MINIMAL_GRID)
+    level, key = target
+    obj = grid if level == "grid" else grid["cells"][0]
+    if action == "delete":
+        obj.pop(key, None)
+    elif action == "replace":
+        obj[key] = value
+    elif action == "whole":
+        grid = value
+    try:
+        grid_from_dict(grid)
+        valid = action != "latin-1"
+    except ValueError:
+        valid = False
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "grid.json")
+        if action == "latin-1":
+            text = json.dumps(dict(grid, name="café"), ensure_ascii=False)
+            path.write_bytes(text.encode("latin-1"))
+        else:
+            path.write_text(json.dumps(grid), encoding="utf-8")
+        assert run_cli(["simulate", "--grid", str(path)]) == (0 if valid else 2)

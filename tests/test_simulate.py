@@ -175,6 +175,9 @@ def test_gen_gaussian_class_means():
         gen_gaussian(
             ScenarioSpec(scenario="sim2", column=3, R=3, n=60, dim=2), seed=1
         )
+    # a direct call can still hand the generator a spec without standard means
+    with pytest.raises(InvalidSpec, match="no standard Gaussian means"):
+        gen_gaussian(ScenarioSpec(scenario="sim2", column=2, R=3, n=60, dim=2), seed=1)
 
 
 def test_ellipse_shapes_clean_geometry():
@@ -215,6 +218,8 @@ def test_ellipse_noise_is_shared_between_coordinates():
 def test_ellipse_shapes_validation():
     with pytest.raises(InvalidR):
         gen_ellipse_shapes(ScenarioSpec(scenario="sim4", R=3, n=30), seed=1)
+    with pytest.raises(InvalidR):
+        gen_ellipse_shapes(ScenarioSpec(scenario="sim2", R=3, n=30, mean_gap=1.0), seed=1)
     with pytest.raises(InvalidSpec):
         ScenarioSpec(scenario="sim4", R=2, n=30, landmarks=2)
     with pytest.raises(InvalidSpec):
@@ -238,6 +243,22 @@ def test_scenario_spec_validation():
         ScenarioSpec(scenario="sim2", column=2, dim=1)
     with pytest.raises(InvalidSpec):
         ScenarioSpec(scenario="sim2", noise="cauchy")
+    # cells the generators would reject fail here, before any draw
+    with pytest.raises(InvalidR, match="R=2"):
+        ScenarioSpec(scenario="sim4", R=3, n=30)
+    for kappa in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="kappa"):
+            ScenarioSpec(scenario="sim2", column=2, kappa=kappa)
+    for gap in (float("nan"), float("-inf")):
+        with pytest.raises(InvalidSpec, match="mean_gap"):
+            ScenarioSpec(scenario="sim2", R=3, mean_gap=gap)
+    for scenario, R in (("sim2", 3), ("sim3", 4), ("sim2", 1)):
+        with pytest.raises(InvalidSpec, match="no standard Gaussian means"):
+            ScenarioSpec(scenario=scenario, column=3, R=R)
+    ScenarioSpec(scenario="sim2", column=3, R=3, mean_gap=0.5)
+    ScenarioSpec(scenario="sim2", column=3, R=3, null=True)
+    ScenarioSpec(scenario="sim1", column=3, R=3)
+    ScenarioSpec(scenario="sim2", column=2, R=3, kappa=0)
 
 
 def test_generate_dispatch_and_seed_handling():
