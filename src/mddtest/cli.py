@@ -149,6 +149,8 @@ def _cmd_simulate(args) -> int:
         grid = replace(grid, **overrides)
     if args.threads < 1:
         raise InvalidSpec(f"--threads must be >= 1, got {args.threads}")
+    if args.output is not None:
+        fileio.check_output_path(args.output)
     report = run_grid(grid, threads=args.threads)
     print(report.to_text())
     if args.output is not None:

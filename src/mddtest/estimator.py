@@ -31,6 +31,9 @@ The permutation null uses a third form.  With ``z_r`` the class-``r``
 indicator and ``K[k, l]`` the number of balls holding both ``k`` and
 ``l``, the statistic is ``sum_r z_r' K z_r / (n_r n^3)`` minus a term
 that permutations leave unchanged; ``K`` costs O(n^3) once per dataset.
+It is built from one int16 ``n x n`` matrix ``U`` of per-row ball counts,
+tile by tile in int32, into the float64 ``K`` the matrix products read:
+10 bytes per entry.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ from .metrics import DistanceMatrix, _freeze
 
 MAX_EXACT_N = 9741  # class forms z_r' K z_r <= n^4 are exact in float64
 _CHUNK = 1 << 17  # indicator entries scored per matrix product
+# ball-kernel tiles: 16 x 128 x 128 int16 scratch is 512 KiB, within L2
+_TILE = 128
+_TILE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -228,23 +234,33 @@ def estimate_fast(
 ) -> MddEstimate:
     """Evaluate the statistic from a prebuilt :class:`RankStructure`.
 
-    Each class takes one int32 running count of its members along the
-    sorted rows and reads it at every position's tie-run end through a
-    single flat index.  The sums run over sorted positions in a fixed
-    order, so repeated calls are bit-identical; they agree with
+    Each class but the last takes one int32 running count of its members
+    along the sorted rows and reads it at every position's tie-run end
+    through a single flat index.  At a run end the class counts add up
+    to ``sorted_counts``, so the last class's count is what the others
+    leave.  The sums run over sorted positions in a fixed order, so
+    repeated calls are bit-identical; they agree with
     :func:`estimate_naive` to within accumulation-order rounding (at
     most a few ulps).
     """
     _check_sizes(ranks.n, labels)
     n = ranks.n
+    last = labels.num_classes - 1
     # intp, not int32: row * n overflows int32 above n = 46340
     run_end = ranks.sorted_counts - 1 + np.arange(0, n * n, n, dtype=np.intp)[:, None]
     f_all = ranks.sorted_counts / n
     sorted_codes = labels.codes[ranks.order]
+    rest = ranks.sorted_counts
+    diff = np.empty((n, n))  # reused by every class, so one n^2 float64 is live
     sums = np.empty(labels.num_classes)
     for r in range(labels.num_classes):
-        cum = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32)
-        diff = cum.ravel().take(run_end) / labels.counts[r] - f_all
+        if r < last:
+            inside = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32).ravel().take(run_end)
+            rest = rest - inside
+        else:
+            inside = rest
+        np.divide(inside, labels.counts[r], out=diff)
+        diff -= f_all
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
         if not include_diagonal:  # B(i, i) sits at sorted position 0
             sums[r] -= float(diff[:, 0] @ diff[:, 0])
@@ -264,22 +280,38 @@ def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndar
     row ``i``, so ``K[k, l] = sum_i min(u_i[k], u_i[l])``.  Without the
     diagonal the balls ``B(i, i)`` go: they are the first tie group of
     each row, where ``u_i = n``, so capping ``u_i`` at ``n - 1``
-    subtracts ``Zero' Zero``.  Entries are at most ``n^2``, within int32.
+    subtracts ``Zero' Zero``.
+
+    Every ``u_i`` is stored once as a row of one int16 matrix ``U``
+    (``u <= n <= MAX_EXACT_N < 2^15``).  ``K`` is symmetric, so only its
+    upper ``_TILE x _TILE`` tiles are built, each as an int32 sum over
+    ``_TILE_ROWS`` rows of ``U`` at a time, then mirrored.  Entries are
+    at most ``n^2``, exact in int32 and in the float64 ``K`` returned
+    for BLAS; the build holds ``U`` and ``K``, 10 bytes per entry.
     """
     n = ranks.n
     if n > MAX_EXACT_N:
         raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {n}")
     cap = n if include_diagonal else n - 1
-    kernel = np.zeros((n, n), dtype=np.int32)
-    outer = np.empty((n, n), dtype=np.int32)
-    u = np.empty(n, dtype=np.int32)
+    u = np.empty((n, n), dtype=np.int16)
     for i in range(n):
         counts = ranks.sorted_counts[i]
         # a tie group starts where the counts of earlier groups end
-        u[ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
-        np.minimum(u[:, None], u[None, :], out=outer)
-        kernel += outer
-    return kernel.astype(np.float64)
+        u[i, ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+    kernel = np.empty((n, n))
+    scratch = np.empty((_TILE_ROWS, _TILE, _TILE), dtype=np.int16)
+    for a in range(0, n, _TILE):
+        left = u[:, a:a + _TILE, None]
+        for b in range(a, n, _TILE):
+            right = u[:, None, b:b + _TILE]
+            tile = np.zeros((left.shape[1], right.shape[2]), dtype=np.int32)
+            for i in range(0, n, _TILE_ROWS):
+                block = scratch[:min(_TILE_ROWS, n - i), :tile.shape[0], :tile.shape[1]]
+                np.minimum(left[i:i + _TILE_ROWS], right[i:i + _TILE_ROWS], out=block)
+                tile += block.sum(axis=0, dtype=np.int32)
+            kernel[a:a + tile.shape[0], b:b + tile.shape[1]] = tile
+            kernel[b:b + tile.shape[1], a:a + tile.shape[0]] = tile.T
+    return kernel
 
 
 def _class_forms(kernel: np.ndarray, codings: np.ndarray, num_classes: int) -> np.ndarray:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import itertools
 import json
+import os
 from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
@@ -142,6 +144,16 @@ def load_labels_csv(path, column: int = 0, header: str = "auto") -> np.ndarray:
         return np.array(values)
 
 
+def check_output_path(path) -> None:
+    """Raise the ``OSError`` a later write would, when ``path`` is a
+    directory or its parent is missing, so a long run cannot fail last."""
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    if not target.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target.parent))
+
+
 def write_csv(path, rows: list[list[str]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
@@ -184,7 +196,7 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
 _SCHEMA_KEYWORDS = {
     "type", "const", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
     "required", "properties", "additionalProperties", "items", "oneOf",
-    "$schema", "$id", "title",
+    "$schema", "$id", "$comment", "title",
 }
 
 

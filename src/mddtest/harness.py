@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import double_center, hhg_statistic_discrete
 from .errors import InvalidReps, InvalidSpec
-from .estimator import LabelVector, _class_forms, build_ranks
+from .estimator import MAX_EXACT_N, LabelVector, _class_forms, build_ranks
 from .inference import _mdd_keys, _permutation_null, draw_label_permutations
 from .metrics import (
     DistanceMatrix,
@@ -75,6 +75,13 @@ class ExperimentGrid:
             raise InvalidSpec("at least one test must be requested")
         if len(set(self.tests)) != len(self.tests):
             raise InvalidSpec(f"each test may be requested once, got {list(self.tests)}")
+        if "mdd" in self.tests:
+            for index, cell in enumerate(self.cells):
+                if cell.spec.n > MAX_EXACT_N:
+                    raise InvalidSpec(
+                        f"cell {index} has n = {cell.spec.n}, but mdd needs "
+                        f"n <= {MAX_EXACT_N}"
+                    )
         if self.seed < 0:
             raise InvalidSpec(f"the master seed must be >= 0, got {self.seed}")
         if self.sphere_metric not in SPHERE_METRICS:

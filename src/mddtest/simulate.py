@@ -99,6 +99,9 @@ class ScenarioSpec:
         # NaN or infinite concentrations never finish the rejection sampler
         if self.kappa is not None and not 0.0 <= self.kappa < np.inf:
             raise InvalidSpec(f"kappa must be finite and >= 0, got {self.kappa}")
+        vmf = self.scenario in ("sim2", "sim3") and self.column == 2 and not self.null
+        if vmf and self.kappa is not None:
+            _vmf_envelope(self.kappa, self.dim - 1)
         if self.mean_gap is not None and not np.isfinite(self.mean_gap):
             raise InvalidSpec(f"mean_gap must be finite, got {self.mean_gap}")
         gaussian = self.scenario in ("sim2", "sim3") and self.column == 3 and not self.null
@@ -196,6 +199,29 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
     return PointSet.euclidean(rows, descriptor), labels
 
 
+def _vmf_envelope(kappa: float, m: int) -> tuple[float, float, float]:
+    """The beta envelope ``(b, x0, c)`` of the cosine sampler for ``m = d - 1``.
+
+    Every acceptance test subtracts ``c``.  Once ``kappa`` is so large
+    that ``x0`` rounds to 1, ``c`` is ``-inf``, each test compares NaN
+    and the loop never ends, so a ``kappa`` without a finite ``c`` is
+    rejected.
+    """
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            b = m / (2.0 * kappa + np.sqrt(4.0 * kappa**2 + m * m))
+            x0 = (1.0 - b) / (1.0 + b)
+            c = kappa * x0 + m * np.log(1.0 - x0 * x0)
+    except OverflowError:  # kappa**2 beyond the float range
+        c = -np.inf
+    if not np.isfinite(c):
+        raise InvalidSpec(
+            f"kappa = {kappa} is too large for the von Mises-Fisher sampler in "
+            f"dimension {m + 1}"
+        )
+    return b, x0, c
+
+
 def sample_vmf(
     rng: np.random.Generator, mu: np.ndarray, kappa: float, size: int
 ) -> np.ndarray:
@@ -204,7 +230,8 @@ def sample_vmf(
     The cosine of the angle to ``mu`` is sampled with the beta-envelope
     rejection scheme for its density ``exp(kappa w)(1-w^2)^{(d-3)/2}``;
     a uniform tangent direction supplies the rest.  ``kappa == 0``
-    degenerates to the uniform law on the sphere.
+    degenerates to the uniform law on the sphere; a ``kappa`` whose
+    envelope constant is not finite raises :class:`InvalidSpec`.
     """
     mu = np.asarray(mu, dtype=np.float64)
     d = mu.size
@@ -215,9 +242,7 @@ def sample_vmf(
         return raw / np.linalg.norm(raw, axis=1, keepdims=True)
     mu = mu / np.linalg.norm(mu)
     m = d - 1
-    b = m / (2.0 * kappa + np.sqrt(4.0 * kappa**2 + m * m))
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + m * np.log(1.0 - x0 * x0)
+    b, x0, c = _vmf_envelope(kappa, m)
     w = np.empty(size)
     filled = 0
     while filled < size:

@@ -311,6 +311,28 @@ def test_output_path_that_is_a_directory_exits_2(two_point_files, tmp_path, caps
     assert "internal error" not in err and err.count("error:") == 2
 
 
+def test_simulate_rejects_unrunnable_grids_before_any_replicate(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_grid was called")
+
+    monkeypatch.setattr(cli, "run_grid", no_run)
+    huge_kappa = {"scenario": "sim2", "column": 2, "n": 10, "kappa": 1e20}
+    cases = (
+        (dict(GRID, cells=[huge_kappa]), [], "error: /cells/0: kappa"),
+        (dict(GRID, cells=[{"scenario": "sim2", "n": 10**20}]), [], "error: /cells/0/n:"),
+        (dict(GRID, cells=[{"scenario": "sim2", "n": 9742}]), [], "n = 9742"),
+        (dict(GRID, tests=["dcov"], cells=[{"scenario": "sim2", "n": 9742}]),
+         ["--tests", "mdd,dcov"], "n = 9742"),
+        (GRID, ["--output", str(tmp_path)], "Is a directory"),
+        (GRID, ["--output", str(tmp_path / "missing" / "report.json")], "No such file"),
+    )
+    for grid, extra, message in cases:
+        path = write(tmp_path / "grid.json", json.dumps(grid))
+        assert main(["simulate", "--grid", path, *extra]) == 2, grid
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+
+
 def test_point_coordinates_that_overflow_exit_3(tmp_path, capsys):
     labels = write(tmp_path / "l.csv", "0\n1\n")
     cases = (

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact_statistic, random_distances, random_labels
 
@@ -9,15 +11,17 @@ from mddtest import (
     DistanceMatrix,
     InvalidLabels,
     LabelVector,
+    PointSet,
     RankStructure,
     SizeMismatch,
     build_ranks,
     estimate_fast,
     estimate_naive,
+    euclidean_distances,
     hhg_statistic_discrete,
     permutation_test,
 )
-from mddtest.estimator import _ball_kernel
+from mddtest.estimator import _TILE, MddEstimate, _ball_kernel
 
 TWO_POINT_D = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 TWO_POINT_Y = LabelVector.from_codes(np.array([0, 1]))
@@ -112,6 +116,93 @@ def test_rank_consumers_ignore_the_order_within_ties():
             hhg_statistic_discrete(ranks, codings, labels.counts),
         )
     assert moved_any
+
+
+def ball_kernel_loop(ranks, include_diagonal=True):
+    """Per-row oracle: add ``min(u_i[k], u_i[l])`` one row ``i`` at a time."""
+    n = ranks.n
+    cap = n if include_diagonal else n - 1
+    kernel = np.zeros((n, n), dtype=np.int64)
+    u = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        counts = ranks.sorted_counts[i]
+        u[ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+        kernel += np.minimum(u[:, None], u[None, :])
+    return kernel
+
+
+def ball_kernel_definition(values, include_diagonal=True):
+    """``K[k, l] = sum_i sum_j [d_ik <= d_ij][d_il <= d_ij]``, ``j != i`` without
+    the diagonal.  Counts stay below 2^53, so the float products are exact."""
+    n = len(values)
+    kernel = np.zeros((n, n))
+    for i, row in enumerate(values):
+        member = (row[None, :] <= row[:, None]).astype(np.float64)  # k in B(i, j)
+        if not include_diagonal:
+            member[i] = 0.0
+        kernel += member.T @ member
+    return kernel
+
+
+def test_ball_kernel_matches_both_oracles_around_the_tile_size():
+    rng = np.random.default_rng(61)
+    for n in (2, 3, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1):
+        for ties in (False, True):
+            d = random_distances(rng, n, ties=ties)
+            ranks = build_ranks(d)
+            for include in (True, False):
+                kernel = _ball_kernel(ranks, include)
+                assert kernel.dtype == np.float64
+                assert np.array_equal(kernel, ball_kernel_loop(ranks, include)), (n, ties)
+                # the definition costs O(n^4); two tiles are covered by the loop
+                if n <= _TILE + 1:
+                    assert np.array_equal(kernel, ball_kernel_definition(d.values, include))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=12),
+    include=st.booleans(),
+)
+def test_ball_kernel_matches_the_definition_on_tie_heavy_samples(points, include):
+    d = euclidean_distances(PointSet.euclidean(np.array(points, dtype=np.float64)))
+    ranks = build_ranks(d)
+    kernel = _ball_kernel(ranks, include)
+    assert np.array_equal(kernel, ball_kernel_definition(d.values, include))
+    assert np.array_equal(kernel, ball_kernel_loop(ranks, include))
+
+
+def estimate_fast_per_class(ranks, labels, include_diagonal=True):
+    """Per-class oracle: every class, the last included, reads its own
+    running count at the tie-run ends."""
+    n = ranks.n
+    run_end = ranks.sorted_counts - 1 + np.arange(0, n * n, n, dtype=np.intp)[:, None]
+    f_all = ranks.sorted_counts / n
+    sorted_codes = labels.codes[ranks.order]
+    sums = np.empty(labels.num_classes)
+    for r in range(labels.num_classes):
+        cum = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32)
+        diff = cum.ravel().take(run_end) / labels.counts[r] - f_all
+        sums[r] = float(np.einsum("ij,ij->", diff, diff))
+        if not include_diagonal:
+            sums[r] -= float(diff[:, 0] @ diff[:, 0])
+    per_class = labels.proportions * sums / (n * n)
+    return MddEstimate(
+        value=float(per_class.sum()),
+        per_class=tuple(float(v) for v in per_class),
+        n=n,
+        num_classes=labels.num_classes,
+    )
+
+
+def test_estimate_fast_matches_the_per_class_loop_bit_for_bit():
+    for R in (1, 2, 3, 5):
+        for rng, d in tie_heavy_instances(59 + R, 4):
+            ranks = build_ranks(d)
+            labels = random_labels(rng, d.n, R)
+            for include in (True, False):
+                expected = estimate_fast_per_class(ranks, labels, include)
+                assert estimate_fast(ranks, labels, include) == expected, (R, d.n)
 
 
 def test_engines_match_exact_reference_on_small_instances():

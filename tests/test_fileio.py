@@ -283,6 +283,13 @@ def test_grid_from_dict_pointer_errors():
         (dict(MINIMAL_GRID, alpha=float("nan")), "/alpha"),
         (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], null=1)]), "/cells/0/null"),
         (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], kappa=-1)]), "/cells/0"),
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "column": 2, "n": 10,
+                                    "kappa": 1e20}]), "/cells/0: kappa"),
+        # no n x n float64 matrix is addressable past 2^30 - 1
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 10**20}]), "/cells/0/n"),
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 2**30}]), "/cells/0/n"),
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 40},
+                                   {"scenario": "sim2", "n": 9742}]), "/: cell 1 has n = 9742"),
         # cells that the generators reject are refused before any replicate runs
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 40, "reps": 40},
                                    {"scenario": "sim4", "n": 40, "R": 3}]), "/cells/1"),
@@ -293,6 +300,14 @@ def test_grid_from_dict_pointer_errors():
         with pytest.raises(GridConfigError) as err:
             grid_from_dict(obj)
         assert str(err.value).startswith(pointer), (obj, str(err.value))
+
+
+def test_grid_size_limits_follow_the_requested_tests():
+    cells = [{"scenario": "sim2", "n": 9742}, {"scenario": "sim2", "n": 2**30 - 1}]
+    for tests in (["dcov"], ["hhg"], ["dcov", "hhg"]):
+        grid = grid_from_dict(dict(MINIMAL_GRID, cells=cells, tests=tests))
+        assert [c.spec.n for c in grid.cells] == [9742, 2**30 - 1]
+    assert grid_from_dict(dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 9741}]))
 
 
 def test_load_grid_json(tmp_path):

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,6 +233,11 @@ def test_experiment_grid_validation():
     # SeedSequence takes no negative master seed
     with pytest.raises(InvalidSpec, match="seed"):
         ExperimentGrid(cells=(cell,), seed=-1)
+    # exact MDD keys stop at MAX_EXACT_N; the other tests have no such limit
+    big = GridCell(spec=ScenarioSpec(scenario="sim2", column=3, R=2, n=9742, dim=2))
+    grid = ExperimentGrid(cells=(cell, big), tests=("dcov", "hhg"))
+    with pytest.raises(InvalidSpec, match="cell 1 has n = 9742"):
+        replace(grid, tests=("dcov", "mdd"))
 
 
 def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):

@@ -130,6 +130,23 @@ def test_sample_vmf_moments():
         sample_vmf(rng, np.array([1.0, 0.0]), -1.0, 5)
 
 
+def test_a_kappa_without_a_finite_envelope_is_rejected_not_sampled_forever():
+    # x0 rounds to 1 (or is NaN) here, so the envelope constant is not finite
+    for kappa in (1e16, 1e20, 1e200, float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="kappa"):
+            sample_vmf(np.random.default_rng(0), np.array([1.0, 0.0, 0.0]), kappa, 5)
+    for kappa in (1e16, 1e20, 1e200, 10**400):
+        with pytest.raises(InvalidSpec, match="kappa"):
+            ScenarioSpec(scenario="sim2", column=2, dim=3, kappa=kappa)
+    # the bound follows the dimension: 1e16 still has a finite envelope in 6-d
+    assert sample_vmf(np.random.default_rng(0), np.eye(6)[0], 1e16, 5).shape == (5, 6)
+    ScenarioSpec(scenario="sim3", column=2, dim=6, kappa=1e16)
+    ScenarioSpec(scenario="sim2", column=2, dim=3, kappa=1e12)
+    # cells that never draw with kappa keep accepting it
+    ScenarioSpec(scenario="sim2", column=3, dim=3, kappa=1e20)
+    ScenarioSpec(scenario="sim2", column=2, dim=3, kappa=1e20, null=True)
+
+
 def test_gen_vmf_class_directions():
     spec = ScenarioSpec(scenario="sim2", column=2, R=5, n=400, dim=3, kappa=50.0)
     points, labels = gen_vmf(spec, seed=19)
