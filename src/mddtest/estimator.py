@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidLabels, InvalidSpec, SizeMismatch
-from .metrics import DistanceMatrix, _freeze
+from .metrics import DistanceMatrix
 
 MAX_EXACT_N = 9741  # class forms z_r' K z_r <= n^4 are exact in float64
-_CHUNK = 1 << 17  # indicator entries scored per matrix product
+_CHUNK = 1 << 17  # indicator entries per matrix product; n^2 entries per row block
 # ball-kernel tiles: 16 x 128 x 128 int16 scratch is 512 KiB, within L2
 _TILE = 128
 _TILE_ROWS = 16
@@ -208,25 +208,38 @@ def estimate_naive(
     )
 
 
-def build_ranks(d: DistanceMatrix) -> RankStructure:
-    """Sort the whole matrix row-wise once and count each row's tie runs.
+def _row_blocks(n: int) -> list[slice]:
+    """The row blocks of about ``_CHUNK`` entries that the n^2 passes
+    walk, so that their temporaries stay block-sized."""
+    step = max(1, _CHUNK // n)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
-    One pass marks where each row's sorted distances change value, which
-    ends a tie run; a reversed running minimum over those run ends gives
-    every position the end of its run, ``#{k : d(i, k) <= s_t}`` under
-    exact equality.  Both arrays fit int32: an ``n x n`` float64 matrix
-    with ``n >= 2^31`` could not be held.
+
+def build_ranks(d: DistanceMatrix) -> RankStructure:
+    """Sort the matrix row-wise once and count each row's tie runs.
+
+    Within each row block, a sorted distance equal to the next one is
+    not the end of its tie run; a reversed running minimum over the run
+    ends ``t + 1`` gives every position the end of its run,
+    ``#{k : d(i, k) <= s_t}`` under exact equality.  Every step is
+    row-local, so the blocks change no bit.  Both arrays fit int32: an
+    ``n x n`` float64 matrix with ``n >= 2^31`` could not be held.
     """
     n = d.n
-    order = np.argsort(d.values, axis=1).astype(np.int32)
-    sorted_d = np.sort(d.values, axis=1)
-    last = np.ones((n, n), dtype=bool)
-    np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=last[:, :-1])
-    ends = np.where(last, np.arange(1, n + 1, dtype=np.int32), np.int32(n))
-    sorted_counts = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    order = np.empty((n, n), dtype=np.int32)
+    sorted_counts = np.empty((n, n), dtype=np.int32)
+    positions = np.arange(1, n + 1, dtype=np.int32)
+    for rows in _row_blocks(n):
+        order[rows] = np.argsort(d.values[rows], axis=1)
+        sorted_d = np.sort(d.values[rows], axis=1)
+        counts = sorted_counts[rows]
+        counts[:] = positions
+        np.copyto(counts[:, :-1], np.int32(n), where=sorted_d[:, 1:] == sorted_d[:, :-1])
+        del sorted_d
+        np.minimum.accumulate(counts[:, ::-1], axis=1, out=counts[:, ::-1])
     order.flags.writeable = False
-    # the reversed view is copied once, into a contiguous frozen array
-    return RankStructure(order=order, sorted_counts=_freeze(sorted_counts), n=n)
+    sorted_counts.flags.writeable = False
+    return RankStructure(order=order, sorted_counts=sorted_counts, n=n)
 
 
 def estimate_fast(
@@ -234,33 +247,45 @@ def estimate_fast(
 ) -> MddEstimate:
     """Evaluate the statistic from a prebuilt :class:`RankStructure`.
 
-    Each class but the last takes one int32 running count of its members
-    along the sorted rows and reads it at every position's tie-run end
-    through a single flat index.  At a run end the class counts add up
-    to ``sorted_counts``, so the last class's count is what the others
-    leave.  The sums run over sorted positions in a fixed order, so
-    repeated calls are bit-identical; they agree with
-    :func:`estimate_naive` to within accumulation-order rounding (at
-    most a few ulps).
+    The sorted class codes are gathered once, in the narrowest integer
+    type.  Each class but the last then takes, row block by row block,
+    an int32 running count of its members along the sorted rows and
+    reads it at every position's tie-run end: the count never falls
+    along a row, so a reversed running minimum over the run ends reads
+    it.  At a run end the class counts add up to ``sorted_counts``, so
+    the last class's count is what the others leave in ``rest``.  One
+    n^2 float64 ``diff`` serves every class, and each class sums all of
+    it in one call, so the blocks change no bit and repeated calls are
+    bit-identical; they agree with :func:`estimate_naive` to within
+    accumulation-order rounding (at most a few ulps).
     """
     _check_sizes(ranks.n, labels)
     n = ranks.n
     last = labels.num_classes - 1
-    # intp, not int32: row * n overflows int32 above n = 46340
-    run_end = ranks.sorted_counts - 1 + np.arange(0, n * n, n, dtype=np.intp)[:, None]
-    f_all = ranks.sorted_counts / n
-    sorted_codes = labels.codes[ranks.order]
-    rest = ranks.sorted_counts
+    blocks = _row_blocks(n)
+    counts = ranks.sorted_counts
+    rest = counts
+    if last:
+        codes = labels.codes.astype(np.min_scalar_type(last))
+        sorted_codes = np.empty((n, n), dtype=codes.dtype)
+        for rows in blocks:
+            np.take(codes, ranks.order[rows], out=sorted_codes[rows])
+        rest = np.empty((n, n), dtype=np.int32)
+        positions = np.arange(1, n + 1, dtype=np.int32)
     diff = np.empty((n, n))  # reused by every class, so one n^2 float64 is live
     sums = np.empty(labels.num_classes)
     for r in range(labels.num_classes):
-        if r < last:
-            inside = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32).ravel().take(run_end)
-            rest = rest - inside
-        else:
-            inside = rest
-        np.divide(inside, labels.counts[r], out=diff)
-        diff -= f_all
+        for rows in blocks:
+            if r < last:
+                inside = np.cumsum(sorted_codes[rows] == r, axis=1, dtype=np.int32)
+                np.copyto(inside, np.int32(n), where=counts[rows] != positions)
+                np.minimum.accumulate(inside[:, ::-1], axis=1, out=inside[:, ::-1])
+                np.subtract(counts[rows] if r == 0 else rest[rows], inside, out=rest[rows])
+            else:
+                inside = rest[rows]
+            np.divide(inside, labels.counts[r], out=diff[rows])
+            del inside
+            diff[rows] -= counts[rows] / n
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
         if not include_diagonal:  # B(i, i) sits at sorted position 0
             sums[r] -= float(diff[:, 0] @ diff[:, 0])
@@ -271,6 +296,26 @@ def estimate_fast(
         n=n,
         num_classes=labels.num_classes,
     )
+
+
+def _ball_counts(ranks: RankStructure, cap: int) -> np.ndarray:
+    """The int16 ``U[i, k] = min(u_i[k], cap)``, ``u_i[k] = #{j : d(i, j) >= d(i, k)}``.
+
+    In sorted order ``u_i`` is ``n`` minus the start of each position's
+    tie group.  A group starts where the count changes, and a running
+    maximum carries each start forward; one scatter per row block puts
+    the values back in column order.
+    """
+    n = ranks.n
+    u = np.empty((n, n), dtype=np.int16)
+    positions = np.arange(n, dtype=np.int32)
+    for rows in _row_blocks(n):
+        counts = ranks.sorted_counts[rows]
+        starts = np.zeros(counts.shape, dtype=np.int32)
+        np.copyto(starts[:, 1:], positions[1:], where=counts[:, 1:] != counts[:, :-1])
+        np.maximum.accumulate(starts, axis=1, out=starts)
+        np.put_along_axis(u[rows], ranks.order[rows], np.minimum(n - starts, cap), axis=1)
+    return u
 
 
 def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndarray:
@@ -292,12 +337,7 @@ def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndar
     n = ranks.n
     if n > MAX_EXACT_N:
         raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {n}")
-    cap = n if include_diagonal else n - 1
-    u = np.empty((n, n), dtype=np.int16)
-    for i in range(n):
-        counts = ranks.sorted_counts[i]
-        # a tie group starts where the counts of earlier groups end
-        u[i, ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+    u = _ball_counts(ranks, n if include_diagonal else n - 1)
     kernel = np.empty((n, n))
     scratch = np.empty((_TILE_ROWS, _TILE, _TILE), dtype=np.int16)
     for a in range(0, n, _TILE):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -285,6 +284,9 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
             tasks.append((grid, cell_index, rep))
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: multiprocessing would add to every `import mddtest`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (8 * workers))
             outcomes = list(pool.map(_run_replicate, tasks, chunksize=chunk))

@@ -15,7 +15,6 @@ a tie ``T_b == T_observed`` always counts as a tie.
 from __future__ import annotations
 
 import math
-import secrets
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,6 +71,8 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
 
 def fresh_seed() -> int:
     """A 63-bit seed drawn from system entropy."""
+    import secrets  # only a run without a seed needs it; keeps `import mddtest` lean
+
     return secrets.randbits(63)
 
 
@@ -230,6 +231,7 @@ def _diagnostic_estimates(
             )
             d, labels = generator(n, rep_seed)
             values[rep] = estimate_fast(build_ranks(d), labels).value
+            del d, labels  # free this replicate's n^2 matrix before drawing the next
         out.append(values)
     return out
 

@@ -42,6 +42,7 @@ _GAUSS_CLASS_MEANS = {
     5: (4.0 / 3.0, 1.0, 1.0 / 3.0, 5.0 / 3.0, 2.0 / 3.0),
 }
 _MAX_LABEL_REDRAWS = 10_000
+_MAX_VMF_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,8 @@ def sample_vmf(
     rejection scheme for its density ``exp(kappa w)(1-w^2)^{(d-3)/2}``;
     a uniform tangent direction supplies the rest.  ``kappa == 0``
     degenerates to the uniform law on the sphere; a ``kappa`` whose
-    envelope constant is not finite raises :class:`InvalidSpec`.
+    envelope constant is not finite, or whose ``size`` draws are not all
+    accepted within ``_MAX_VMF_ROUNDS`` rounds, raises :class:`InvalidSpec`.
     """
     mu = np.asarray(mu, dtype=np.float64)
     d = mu.size
@@ -244,8 +246,16 @@ def sample_vmf(
     m = d - 1
     b, x0, c = _vmf_envelope(kappa, m)
     w = np.empty(size)
-    filled = 0
+    filled = rounds = 0
     while filled < size:
+        if rounds == _MAX_VMF_ROUNDS:
+            # every candidate's acceptance exponent can round below log(u)
+            raise InvalidSpec(
+                f"kappa = {kappa} is too large for the von Mises-Fisher sampler in "
+                f"dimension {d}: {rounds} rejection rounds accepted {filled} of "
+                f"{size} draws"
+            )
+        rounds += 1
         todo = size - filled
         z = rng.beta(m / 2.0, m / 2.0, size=todo)
         cand = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)

@@ -1,10 +1,15 @@
 """Shared helpers: random instances and an exact rational reference
 evaluation of the statistic."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import mddtest
 from mddtest import (
     LabelVector,
     PointSet,
@@ -12,6 +17,15 @@ from mddtest import (
     shape_distances,
     sphere_distances,
 )
+
+
+def run_python(code, timeout):
+    """Run ``code`` in a fresh interpreter that imports this ``mddtest``."""
+    paths = [str(Path(mddtest.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def random_labels(rng, n, R):

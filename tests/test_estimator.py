@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from mddtest import (
     hhg_statistic_discrete,
     permutation_test,
 )
-from mddtest.estimator import _TILE, MddEstimate, _ball_kernel
+from mddtest import estimator
+from mddtest.estimator import _TILE, MddEstimate, _ball_counts, _ball_kernel
 
 TWO_POINT_D = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 TWO_POINT_Y = LabelVector.from_codes(np.array([0, 1]))
@@ -118,15 +121,22 @@ def test_rank_consumers_ignore_the_order_within_ties():
     assert moved_any
 
 
+def ball_counts_loop(ranks, cap):
+    """Per-row oracle for ``U``: a tie group starts where the counts of
+    earlier groups end, found by one left bisection per row."""
+    n = ranks.n
+    u = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        counts = ranks.sorted_counts[i]
+        u[i, ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+    return u
+
+
 def ball_kernel_loop(ranks, include_diagonal=True):
     """Per-row oracle: add ``min(u_i[k], u_i[l])`` one row ``i`` at a time."""
     n = ranks.n
-    cap = n if include_diagonal else n - 1
     kernel = np.zeros((n, n), dtype=np.int64)
-    u = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        counts = ranks.sorted_counts[i]
-        u[ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+    for u in ball_counts_loop(ranks, n if include_diagonal else n - 1):
         kernel += np.minimum(u[:, None], u[None, :])
     return kernel
 
@@ -203,6 +213,116 @@ def test_estimate_fast_matches_the_per_class_loop_bit_for_bit():
             for include in (True, False):
                 expected = estimate_fast_per_class(ranks, labels, include)
                 assert estimate_fast(ranks, labels, include) == expected, (R, d.n)
+
+
+def build_ranks_unblocked(d):
+    """Whole-matrix oracle: one argsort and one sort of all rows at once."""
+    n = d.n
+    order = np.argsort(d.values, axis=1).astype(np.int32)
+    sorted_d = np.sort(d.values, axis=1)
+    last = np.ones((n, n), dtype=bool)
+    np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=last[:, :-1])
+    ends = np.where(last, np.arange(1, n + 1, dtype=np.int32), np.int32(n))
+    sorted_counts = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    return RankStructure(order=order, sorted_counts=np.ascontiguousarray(sorted_counts), n=n)
+
+
+def estimate_fast_unblocked(ranks, labels, include_diagonal=True):
+    """Whole-matrix oracle: each class but the last gathers its running
+    count at the run ends through one flat index; the last takes the rest."""
+    n = ranks.n
+    last = labels.num_classes - 1
+    run_end = ranks.sorted_counts - 1 + np.arange(0, n * n, n, dtype=np.intp)[:, None]
+    f_all = ranks.sorted_counts / n
+    sorted_codes = labels.codes[ranks.order]
+    rest = ranks.sorted_counts
+    diff = np.empty((n, n))
+    sums = np.empty(labels.num_classes)
+    for r in range(labels.num_classes):
+        if r < last:
+            inside = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32).ravel().take(run_end)
+            rest = rest - inside
+        else:
+            inside = rest
+        np.divide(inside, labels.counts[r], out=diff)
+        diff -= f_all
+        sums[r] = float(np.einsum("ij,ij->", diff, diff))
+        if not include_diagonal:
+            sums[r] -= float(diff[:, 0] @ diff[:, 0])
+    per_class = labels.proportions * sums / (n * n)
+    return MddEstimate(
+        value=float(per_class.sum()),
+        per_class=tuple(float(v) for v in per_class),
+        n=n,
+        num_classes=labels.num_classes,
+    )
+
+
+def assert_blocked_matches_unblocked(d, labels):
+    ranks = build_ranks(d)
+    expected = build_ranks_unblocked(d)
+    assert np.array_equal(ranks.order, expected.order)
+    assert np.array_equal(ranks.sorted_counts, expected.sorted_counts)
+    for include in (True, False):
+        assert estimate_fast(ranks, labels, include) == estimate_fast_unblocked(
+            ranks, labels, include
+        ), (d.n, labels.num_classes, include)
+    n = d.n
+    for cap in (n, n - 1):
+        assert np.array_equal(_ball_counts(ranks, cap), ball_counts_loop(ranks, cap))
+
+
+# 200-entry blocks: n = 2..13 is one block, 17..41 ends in a ragged block, 70 is 35 of 2 rows
+BLOCKED_SIZES = (2, 3, 13, 17, 29, 41, 70)
+
+
+def test_row_blocks_change_no_bit(monkeypatch):
+    monkeypatch.setattr(estimator, "_CHUNK", 200)
+    rng = np.random.default_rng(71)
+    for n in BLOCKED_SIZES:
+        for ties in (False, True):
+            d = random_distances(rng, n, ties=ties)
+            for R in (1, 2, 5):
+                if n >= R:
+                    assert_blocked_matches_unblocked(d, random_labels(rng, n, R))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=40),
+    chunk=st.integers(1, 120),
+    data=st.data(),
+)
+def test_row_blocks_change_no_bit_on_tie_heavy_samples(points, chunk, data):
+    n = len(points)
+    R = data.draw(st.integers(1, min(5, n)))
+    codes = np.array(data.draw(st.permutations(list(range(R)) + [0] * (n - R))))
+    d = euclidean_distances(PointSet.euclidean(np.array(points, dtype=np.float64)))
+    with mock.patch.object(estimator, "_CHUNK", chunk):
+        assert_blocked_matches_unblocked(d, LabelVector.from_codes(codes, R))
+
+
+def traced_bytes_per_entry(n, fn, *args):
+    """The traced allocation peak of ``fn(*args)`` per n^2 entry, result included."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / (n * n)
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_build_and_estimate_hold_few_bytes_per_entry():
+    # unblocked, these were 25 and 49 bytes per entry; the int32 results
+    # alone are 8, and estimate_fast keeps an n^2 float64, int32 and int8
+    rng = np.random.default_rng(73)
+    n = 600
+    d = random_distances(rng, n)
+    labels = random_labels(rng, n, 5)
+    assert traced_bytes_per_entry(n, build_ranks, d) < 18
+    ranks = build_ranks(d)
+    assert traced_bytes_per_entry(n, estimate_fast, ranks, labels) < 18
 
 
 def test_engines_match_exact_reference_on_small_instances():

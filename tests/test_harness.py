@@ -1,9 +1,11 @@
+import concurrent.futures
 import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from test_baselines import hhg_discrete_loop
 
 from mddtest import (
@@ -258,7 +260,7 @@ def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     grid = small_grid(reps=2, permutations=9, tests=("mdd",))  # 4 tasks
     reference = dump_json(run_grid(grid).to_json_dict())
     for cpus, threads in ((8, 10**6), (3, 10**6), (8, 2), (None, 10**6)):
@@ -267,3 +269,14 @@ def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):
         assert dump_json(report.to_json_dict()) == reference
     # min(threads, tasks, cpus); an unknown CPU count runs in-process
     assert pools == [4, 3, 2]
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    # the process pool is imported where run_grid starts one
+    proc = run_python(
+        "import sys, mddtest; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'secrets')))",
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import run_python
+
 from mddtest import (
     InvalidR,
     InvalidSpec,
@@ -145,6 +147,31 @@ def test_a_kappa_without_a_finite_envelope_is_rejected_not_sampled_forever():
     # cells that never draw with kappa keep accepting it
     ScenarioSpec(scenario="sim2", column=3, dim=3, kappa=1e20)
     ScenarioSpec(scenario="sim2", column=2, dim=3, kappa=1e20, null=True)
+
+
+def test_vmf_rejection_rounds_are_bounded():
+    mu = np.eye(1001)[0]
+    # about three in four candidates pass at 3.3e18
+    assert sample_vmf(np.random.default_rng(0), mu, 3.3e18, 200).shape == (200, 1001)
+    # none pass at 3.5e18 or 3.7e18; the subprocess bounds the time if one loops
+    proc = run_python(
+        "import numpy as np\n"
+        "from mddtest import InvalidSpec, sample_vmf\n"
+        "for kappa in (3.5e18, 3.7e18):\n"
+        "    try:\n"
+        "        sample_vmf(np.random.default_rng(0), np.eye(1001)[0], kappa, 200)\n"
+        "    except InvalidSpec as exc:\n"
+        "        print(exc)\n",
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for kappa, line in zip(("3.5e+18", "3.7e+18"), lines):
+        assert line == (
+            f"kappa = {kappa} is too large for the von Mises-Fisher sampler in dimension "
+            "1001: 10000 rejection rounds accepted 0 of 200 draws"
+        )
 
 
 def test_gen_vmf_class_directions():
