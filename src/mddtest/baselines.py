@@ -113,10 +113,13 @@ def hhg_statistic_discrete(
     class members in that ball, so each class tabulates its
     chi-squares over ``(a, C)`` once per call.  A coding sorts its
     members' ball counts per centre and reads ``a`` off the end of each
-    tie run.  Terms are summed centre by centre in ascending distance,
-    class by class, so every coding gets the bits of a call on it alone.
-    Each table's chi-square matches the general routine exactly (the
-    grand total differs only by float summation order).
+    tie run.  When no row of distances ties, which is checked once per
+    call, every run has length one and ``a`` is the sorted position plus
+    one, so the run ends are never built.  Terms are summed centre by
+    centre in ascending distance, class by class, so every coding gets
+    the bits of a call on it alone.  Each table's chi-square matches the
+    general routine exactly (the grand total differs only by float
+    summation order).
     """
     n = ranks.n
     if n < 3:
@@ -130,6 +133,9 @@ def hhg_statistic_discrete(
     ball = np.empty((n, n), dtype=np.int32)
     np.put_along_axis(ball, ranks.order, ranks.sorted_counts, axis=1)
     ball = ball.ravel()
+    # without distance ties every row's ball counts are 1..n, so no two
+    # members of a centre's row share a count and each run has length one
+    tie_free = bool((ranks.sorted_counts == np.arange(1, n + 1)).all())
     total = np.zeros(len(codings))
     for r, size in enumerate(sizes):
         if size == 0:
@@ -138,6 +144,8 @@ def hhg_statistic_discrete(
         r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
         table = _chi_squares(n11, r1, size - 2, n - 2).ravel()
         run_end = np.arange(1, size + 1, dtype=np.int32)
+        # without ties sorted position t ends its own run: a = t + 1
+        offsets = run_end[1:] * np.int32(n + 1)
         # a quarter of a class-form chunk keeps the int32 and float64
         # temporaries of one chunk near 1 MB
         step = max(1, (_CHUNK >> 2) // (size * size))
@@ -151,13 +159,16 @@ def hhg_statistic_discrete(
             members = members.reshape(len(block), size).astype(np.int32)
             within = ball[members[:, :, None] * np.int32(n) + members[:, None, :]]
             within.sort(axis=2)
-            # a is the end of the run of equal ball counts, found where the
-            # next count differs
-            last = np.ones(within.shape, dtype=bool)
-            np.not_equal(within[..., 1:], within[..., :-1], out=last[..., :-1])
-            ends = np.where(last, run_end, np.int32(size))
-            ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
             # sorted position 0 is the centre itself, at distance 0
-            index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
+            if tie_free:
+                index = within[..., 1:] + offsets
+            else:
+                # a is the end of the run of equal ball counts, found where
+                # the next count differs
+                last = np.ones(within.shape, dtype=bool)
+                np.not_equal(within[..., 1:], within[..., :-1], out=last[..., :-1])
+                ends = np.where(last, run_end, np.int32(size))
+                ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
+                index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
             total[start:start + step] += table[index].reshape(len(block), -1).sum(axis=1)
     return float(total[0]) if np.ndim(codes) == 1 else total

@@ -21,7 +21,7 @@ from . import fileio
 from .errors import CsvFormatError, InvalidSpec, MddError, MetricError, SizeMismatch
 from .estimator import LabelVector, build_ranks
 from .harness import GridCell, distances_for, run_grid
-from .inference import bh_adjust, permutation_test
+from .inference import bh_adjust, check_permutation_settings, permutation_test
 from .metrics import PointSet, load_precomputed
 
 
@@ -77,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args) -> int:
+    check_permutation_settings(args.permutations, args.seed)
     raw_labels = fileio.load_labels_csv(
         args.labels, column=args.label_column, header=args.label_header
     )

@@ -9,6 +9,7 @@ replicate share the same data and score one batch of permuted codings.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -167,6 +168,11 @@ class CellResult:
     def frequency(self, test: str) -> float:
         return self.rejections[test] / self.reps
 
+    def standard_error(self, test: str) -> float:
+        """Binomial Monte Carlo standard error ``sqrt(f (1 - f) / reps)`` of the frequency."""
+        f = self.frequency(test)
+        return math.sqrt(f * (1.0 - f) / self.reps)
+
 
 @dataclass
 class TableReport:
@@ -215,7 +221,7 @@ class TableReport:
                 "yes" if (spec.null or spec.scenario == "sim1") else "no",
                 str(cell.reps),
             ]
-            row += [f"{cell.frequency(t):.3f}" for t in tests]
+            row += [f"{cell.frequency(t):.3f} ({cell.standard_error(t):.3f})" for t in tests]
             rows.append(row)
         widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
         lines = []
@@ -224,6 +230,7 @@ class TableReport:
             if idx == 0:
                 lines.append("  ".join("-" * w for w in widths))
         lines.append("")
+        lines.append("rejection frequency (Monte Carlo standard error sqrt(f(1-f)/reps))")
         cfg = self.config
         lines.append(
             f"alpha={cfg['alpha']:g}  permutations={cfg['permutations']}  "

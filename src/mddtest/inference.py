@@ -25,6 +25,7 @@ from .errors import (
     DegenerateLabelsWarning,
     InvalidB,
     InvalidReps,
+    InvalidSpec,
     OutOfRangePValue,
 )
 from .estimator import (
@@ -76,6 +77,19 @@ def fresh_seed() -> int:
     return secrets.randbits(63)
 
 
+def check_permutation_settings(permutations: int, seed: int | None) -> None:
+    """Reject a permutation count below 1 or a seed outside [0, 2^64).
+
+    Generators are keyed on the low 64 bits of the seed, so any other
+    seed would silently repeat the permutations of one inside the range.
+    ``None`` stands for a fresh seed and passes.
+    """
+    if permutations < 1:
+        raise InvalidB(f"permutation count must be >= 1, got {permutations}")
+    if seed is not None and not 0 <= seed < 2**64:
+        raise InvalidSpec(f"the seed must lie in [0, 2**64), got {seed}")
+
+
 def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:
     """The ``(permutations, n)`` array of index permutations for a seed.
 
@@ -84,8 +98,7 @@ def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:
     with key ``(seed, b)`` and counter 0 continues exactly as a new
     ``_substream(seed, b)`` would.
     """
-    if permutations < 1:
-        raise InvalidB(f"permutation count must be >= 1, got {permutations}")
+    check_permutation_settings(permutations, seed)
     generator = _substream(seed, 0)
     bits = generator.bit_generator
     state = bits.state
@@ -143,9 +156,11 @@ def permutation_test(
     """Permutation test of the MDD statistic against label exchange.
 
     The reported statistic and per-class terms come from ``estimate_fast``.
-    More than ``MAX_EXACT_N`` observations are rejected before any n^2 work.
+    A permutation count below 1, a seed outside [0, 2^64) and more than
+    ``MAX_EXACT_N`` observations are rejected before any n^2 work.
     Inputs are never mutated; the same seed gives bit-identical results.
     """
+    check_permutation_settings(permutations, seed)
     statistic = _mdd_keys(ranks, labels, include_diagonal)
     if seed is None:
         seed = fresh_seed()

@@ -206,6 +206,39 @@ def test_hhg_discrete_batch_is_bitwise_the_per_coding_oracle():
             assert isinstance(single, float) and single == value
 
 
+def _batch_matches_oracle(ranks, codes, rng, permutations=100):
+    counts = np.bincount(codes)
+    batch = np.array([codes] + [rng.permutation(codes) for _ in range(permutations)])
+    want = np.array([hhg_discrete_loop(ranks, c, counts) for c in batch])
+    return np.array_equal(hhg_statistic_discrete(ranks, batch, counts), want)
+
+
+def test_hhg_discrete_tie_free_batch_is_bitwise_the_oracle():
+    rng = np.random.default_rng(14)
+    n = 160
+    ranks = build_ranks(random_distances(rng, n))
+    # continuous points: every row's ball counts are 1..n
+    assert np.array_equal(ranks.sorted_counts, np.broadcast_to(np.arange(1, n + 1), (n, n)))
+    # 80 and 32 members per class spread 101 codings over 21 and 4 chunks
+    for R in (2, 5):
+        assert _batch_matches_oracle(ranks, np.arange(n) % R, rng), R
+
+
+def test_hhg_discrete_one_tied_row_takes_the_general_path():
+    rng = np.random.default_rng(15)
+    n = 60
+    values = random_distances(rng, n).values.copy()
+    # observations 3 and 5 are equally far from centre 0, and nothing else ties
+    values[0, 5] = values[5, 0] = values[0, 3]
+    ranks = build_ranks(DistanceMatrix(values))
+    tied_rows = (ranks.sorted_counts != np.arange(1, n + 1)).any(axis=1)
+    assert np.array_equal(np.flatnonzero(tied_rows), [0])
+    codes = np.arange(n) % 2
+    codes[[0, 3, 5]] = 0
+    codes[[1, 2, 4]] = 1
+    assert _batch_matches_oracle(ranks, codes, rng)
+
+
 def test_hhg_discrete_rejects_codes_that_disagree_with_counts():
     ranks = build_ranks(random_distances(np.random.default_rng(13), 8))
     codes = np.array([0, 0, 0, 1, 1, 1, 1, 1])

@@ -172,6 +172,41 @@ def test_out_of_memory_exits_2_not_as_internal_error(
     assert not (tmp_path / "r.json").exists()
 
 
+def test_bad_permutation_count_or_seed_exits_2_before_reading_input(tmp_path, monkeypatch, capsys):
+    def untouched(*args, **kwargs):
+        raise AssertionError("input was read before the settings were checked")
+
+    monkeypatch.setattr(cli.fileio, "load_labels_csv", untouched)
+    monkeypatch.setattr(cli.fileio, "load_numeric_csv", untouched)
+    monkeypatch.setattr(cli, "build_ranks", untouched)
+    bad = (
+        ("--permutations", "0", "permutation count"),
+        ("--permutations", "-4", "permutation count"),
+        ("--seed", "-1", "seed"),
+        ("--seed", str(2**64), "seed"),
+    )
+    for flag, value, word in bad:
+        rc = main([
+            "test", "--matrix", "m.csv", "--labels", "l.csv", flag, value,
+            "--output", str(tmp_path / "r.json"),
+        ])
+        assert rc == 2, (flag, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err, err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_largest_seed_is_accepted(two_point_files, tmp_path, capsys):
+    points, labels = two_point_files
+    out = tmp_path / "r.json"
+    rc = main([
+        "test", "--points", points, "--labels", labels, "--seed", str(2**64 - 1),
+        "--output", str(out),
+    ])
+    assert rc == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["seed"] == 2**64 - 1
+
+
 def test_nan_labels_are_rejected(tmp_path, capsys):
     with pytest.raises(InvalidLabels):
         LabelVector.from_values(np.array([0.0, 1.0, np.nan, np.nan, 1.0, 0.0]))

@@ -9,6 +9,7 @@ from conftest import run_python
 from test_baselines import hhg_discrete_loop
 
 from mddtest import (
+    CellResult,
     ExperimentGrid,
     GridCell,
     InvalidReps,
@@ -16,6 +17,7 @@ from mddtest import (
     LabelVector,
     PointSet,
     ScenarioSpec,
+    TableReport,
     build_ranks,
     dcov_statistic,
     discrete_label_distances,
@@ -193,6 +195,26 @@ def test_run_grid_report_contents():
     for row in rows[1:]:
         assert float(row[10]) == int(row[9]) / 2
     assert rows[2][7] == "true"  # sim1 rows are always null
+
+
+def test_text_table_prints_the_monte_carlo_standard_error():
+    spec = ScenarioSpec(scenario="sim2", column=1, R=2, n=40, dim=3)
+    cell = CellResult(spec=spec, reps=200, rejections={"mdd": 190, "dcov": 0})
+    # sqrt(0.95 * 0.05 / 200) = 0.015411...
+    assert cell.standard_error("mdd") == pytest.approx(0.0154110350, abs=1e-10)
+    config = {
+        "tests": ["mdd", "dcov"], "alpha": 0.05, "permutations": 499, "seed": 1,
+        "sphere_metric": "euclidean", "y_encoding": "discrete",
+    }
+    report = TableReport(cells=[cell], config=config)
+    row = report.to_text().splitlines()[2].split()
+    assert row[-4:] == ["0.950", "(0.015)", "0.000", "(0.000)"]
+    tests = report.to_json_dict()["cells"][0]["tests"]
+    assert tests == {
+        "dcov": {"rejections": 0, "frequency": 0.0},
+        "mdd": {"rejections": 190, "frequency": 0.95},
+    }
+    assert report.to_csv_rows()[1][-4:] == ["190", "0.95", "0", "0.0"]
 
 
 def test_run_grid_per_cell_reps_override():

@@ -10,6 +10,7 @@ from mddtest import (
     DegenerateLabelsWarning,
     InvalidB,
     InvalidReps,
+    InvalidSpec,
     LabelVector,
     OutOfRangePValue,
     PointSet,
@@ -284,5 +285,23 @@ def test_invalid_permutation_count():
     rng = np.random.default_rng(21)
     d = random_distances(rng, 6)
     labels = random_labels(rng, 6, 2)
-    with pytest.raises(InvalidB):
-        permutation_test(build_ranks(d), labels, permutations=0, seed=1)
+    for permutations in (0, -3):
+        with pytest.raises(InvalidB):
+            permutation_test(build_ranks(d), labels, permutations=permutations, seed=1)
+
+
+def test_seeds_outside_64_bits_are_rejected():
+    rng = np.random.default_rng(22)
+    ranks = build_ranks(random_distances(rng, 8))
+    labels = random_labels(rng, 8, 2)
+    # without the check -1 and 2**64 - 1 would key the same generator
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(InvalidSpec):
+            permutation_test(ranks, labels, permutations=9, seed=seed)
+        with pytest.raises(InvalidSpec):
+            draw_label_permutations(8, 9, seed)
+    for seed in (0, 2**64 - 1):
+        assert permutation_test(ranks, labels, permutations=9, seed=seed).seed == seed
+    assert not np.array_equal(
+        draw_label_permutations(8, 9, 0), draw_label_permutations(8, 9, 2**64 - 1)
+    )
