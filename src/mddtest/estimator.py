@@ -329,15 +329,19 @@ def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndar
 
     Every ``u_i`` is stored once as a row of one int16 matrix ``U``
     (``u <= n <= MAX_EXACT_N < 2^15``).  ``K`` is symmetric, so only its
-    upper ``_TILE x _TILE`` tiles are built, each as an int32 sum over
-    ``_TILE_ROWS`` rows of ``U`` at a time, then mirrored.  Entries are
-    at most ``n^2``, exact in int32 and in the float64 ``K`` returned
-    for BLAS; the build holds ``U`` and ``K``, 10 bytes per entry.
+    upper ``_TILE x _TILE`` tiles are built, then mirrored.  A tile sums
+    ``_TILE_ROWS`` rows of ``U`` at a time in int16 over groups of
+    ``32767 // cap >= 3`` rows, which cannot wrap, and adds each group
+    into int32.  Entries are at most ``n^2``, exact in int32 and in the
+    float64 ``K`` returned for BLAS; the build holds ``U`` and ``K``, 10
+    bytes per entry.
     """
     n = ranks.n
     if n > MAX_EXACT_N:
         raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {n}")
-    u = _ball_counts(ranks, n if include_diagonal else n - 1)
+    cap = n if include_diagonal else n - 1
+    u = _ball_counts(ranks, cap)
+    group = np.iinfo(np.int16).max // cap
     kernel = np.empty((n, n))
     scratch = np.empty((_TILE_ROWS, _TILE, _TILE), dtype=np.int16)
     for a in range(0, n, _TILE):
@@ -345,10 +349,15 @@ def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndar
         for b in range(a, n, _TILE):
             right = u[:, None, b:b + _TILE]
             tile = np.zeros((left.shape[1], right.shape[2]), dtype=np.int32)
-            for i in range(0, n, _TILE_ROWS):
-                block = scratch[:min(_TILE_ROWS, n - i), :tile.shape[0], :tile.shape[1]]
-                np.minimum(left[i:i + _TILE_ROWS], right[i:i + _TILE_ROWS], out=block)
-                tile += block.sum(axis=0, dtype=np.int32)
+            partial = np.empty(tile.shape, dtype=np.int16)
+            for start in range(0, n, group):
+                end = min(start + group, n)
+                partial[:] = 0
+                for i in range(start, end, _TILE_ROWS):
+                    block = scratch[:min(_TILE_ROWS, end - i), :tile.shape[0], :tile.shape[1]]
+                    np.minimum(left[i:i + len(block)], right[i:i + len(block)], out=block)
+                    partial += block.sum(axis=0, dtype=np.int16)
+                tile += partial
             kernel[a:a + tile.shape[0], b:b + tile.shape[1]] = tile
             kernel[b:b + tile.shape[1], a:a + tile.shape[0]] = tile.T
     return kernel

@@ -2,9 +2,10 @@
 
 CSV files are comma separated with ``.`` decimals, UTF-8 encoded; an
 optional header row is detected by a non-numeric first row (for one
-column, by its first field).  Result and grid files are checked
-against ``schemas/result.schema.json`` and ``schemas/grid.schema.json``,
-the only copies of those formats.  Numbers
+column, by its first field).  Numeric CSVs are parsed by numpy's C
+reader, with a row reader for the files it refuses.  Result and grid
+files are checked against ``schemas/result.schema.json`` and
+``schemas/grid.schema.json``, the only copies of those formats.  Numbers
 are written in shortest round-trip decimal form, so a dump-then-load
 cycle reproduces every float bit for bit.  JSON output is rendered
 with sorted keys and fixed indentation, so identical inputs serialise
@@ -19,6 +20,7 @@ import errno
 import itertools
 import json
 import os
+import warnings
 from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
@@ -81,12 +83,11 @@ def parse_floats(
         ) from None
 
 
-def load_numeric_csv(path) -> np.ndarray:
-    """Read a rectangular numeric CSV, skipping a header row if present.
-
-    The first row is a header when any of its fields is not a number.
-    Rows are parsed as they are read, so the text of the file is never
-    held whole.
+def _read_numeric_rows(path) -> np.ndarray:
+    """The row reader behind :func:`load_numeric_csv`: every row through
+    ``csv`` and :func:`parse_floats`, so that an error names the bad field
+    by row and column.  Rows are parsed as they are read, so the text of
+    the file is never held whole.
     """
     rows = _csv_rows(path)
     first = next(rows, None)
@@ -103,6 +104,39 @@ def load_numeric_csv(path) -> np.ndarray:
             raise CsvFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
         out.append(parse_floats(path, row, row=i))
     return np.array(out)
+
+
+def _plain_lines(lines) -> Iterator[str]:
+    """``lines``, refusing those that loadtxt would read and the row reader
+    not: longer than a ``csv`` field may be, or holding ``\\x1c``-``\\x1f``,
+    which loadtxt strips around a number and ``float`` does not."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if len(line) > limit or any(c in line for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("left to the row reader")
+        yield line
+
+
+def load_numeric_csv(path) -> np.ndarray:
+    """Read a rectangular numeric CSV, skipping a header row if present.
+
+    The first non-blank row is a header when any of its fields is not a
+    number.  The data rows go through ``np.loadtxt``; a file it refuses
+    (quoted or non-ASCII numbers, blank fields, ragged or no rows) goes
+    through the row reader, which alone names a bad field.
+    """
+    if not os.path.isfile(path):
+        return _read_numeric_rows(path)  # a pipe cannot be read twice
+    try:
+        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
+            rows = (row for row in csv.reader(fh) if any(field.strip() for field in row))
+            first = next(rows, None)
+            if first is not None and all(_is_number(field) for field in first):
+                fh.seek(0)
+            return np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error, UserWarning):
+        return _read_numeric_rows(path)
 
 
 def read_column(

@@ -66,7 +66,10 @@ class TestResult:
 
 
 def _substream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    # Philox keys are 64 bits wide: any other seed would alias one inside the range
+    if not 0 <= seed < 2**64:
+        raise InvalidSpec(f"the seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -78,16 +81,13 @@ def fresh_seed() -> int:
 
 
 def check_permutation_settings(permutations: int, seed: int | None) -> None:
-    """Reject a permutation count below 1 or a seed outside [0, 2^64).
-
-    Generators are keyed on the low 64 bits of the seed, so any other
-    seed would silently repeat the permutations of one inside the range.
-    ``None`` stands for a fresh seed and passes.
+    """Reject a permutation count below 1 or a seed outside [0, 2^64),
+    before any work starts.  ``None`` stands for a fresh seed and passes.
     """
     if permutations < 1:
         raise InvalidB(f"permutation count must be >= 1, got {permutations}")
-    if seed is not None and not 0 <= seed < 2**64:
-        raise InvalidSpec(f"the seed must lie in [0, 2**64), got {seed}")
+    if seed is not None:
+        _substream(seed, 0)  # refuses the seed as every generator would
 
 
 def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:

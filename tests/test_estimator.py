@@ -24,7 +24,7 @@ from mddtest import (
     permutation_test,
 )
 from mddtest import estimator
-from mddtest.estimator import _TILE, MddEstimate, _ball_counts, _ball_kernel
+from mddtest.estimator import _TILE, _TILE_ROWS, MddEstimate, _ball_counts, _ball_kernel
 
 TWO_POINT_D = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 TWO_POINT_Y = LabelVector.from_codes(np.array([0, 1]))
@@ -180,6 +180,36 @@ def test_ball_kernel_matches_the_definition_on_tie_heavy_samples(points, include
     kernel = _ball_kernel(ranks, include)
     assert np.array_equal(kernel, ball_kernel_definition(d.values, include))
     assert np.array_equal(kernel, ball_kernel_loop(ranks, include))
+
+
+def ball_kernel_row_sums(u):
+    """``K @ 1`` from ``U`` in O(n^2 log n): row ``i`` adds, for each ``k``,
+    ``sum_l min(u_i[k], u_i[l])``, the entries below ``u_i[k]`` plus
+    ``u_i[k]`` once for each of the rest."""
+    n = len(u)
+    out = np.zeros(n, dtype=np.int64)
+    for row in u:
+        ascending = np.sort(row)
+        below = np.searchsorted(ascending, row)
+        out += np.concatenate(([0], np.cumsum(ascending)))[below] + row * (n - below)
+    return out
+
+
+def test_ball_kernel_is_exact_where_an_int16_group_is_shorter_than_a_row_block():
+    # from cap = 2048 on, 32767 // cap rows are fewer than _TILE_ROWS; with
+    # nine points in ten at one site most minima are the cap, so the int16
+    # group sums come as close to wrapping as they can
+    n = 2049
+    rng = np.random.default_rng(67)
+    points = np.where(rng.random((n, 1)) < 0.9, 0.0, rng.standard_normal((n, 3)))
+    ranks = build_ranks(euclidean_distances(PointSet.euclidean(points)))
+    for include in (True, False):
+        cap = n if include else n - 1
+        assert np.iinfo(np.int16).max // cap < _TILE_ROWS
+        kernel = _ball_kernel(ranks, include)
+        u = ball_counts_loop(ranks, cap)
+        assert np.array_equal(np.diag(kernel), u.sum(axis=0))
+        assert np.array_equal(kernel.sum(axis=1), ball_kernel_row_sums(u))
 
 
 def estimate_fast_per_class(ranks, labels, include_diagonal=True):

@@ -1,7 +1,16 @@
 import json
+import os
+import tempfile
+import threading
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mddtest import (
     CsvFormatError,
@@ -29,6 +38,7 @@ from mddtest.fileio import (
     write_json,
 )
 from conftest import random_distances, random_labels
+from mddtest import fileio
 from mddtest.fileio import _check_schema
 
 
@@ -70,6 +80,94 @@ def test_load_numeric_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("x,y\n\n1,2\n\n3,4\n", encoding="utf-8")
     assert load_numeric_csv(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(
+    values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)),
+    header=st.booleans(),
+    blanks=st.lists(st.integers(0, 7), max_size=3),
+    newline=st.sampled_from(("\n", "\r\n", "\r")),
+    final_newline=st.booleans(),
+)
+def test_numpy_reader_gives_the_row_reader_bits(values, header, blanks, newline, final_newline):
+    lines = [",".join(map(repr, row)) for row in values.tolist()]
+    if header:
+        lines.insert(0, ",".join(f"c{j}" for j in range(values.shape[1])))
+    for at in blanks:
+        lines.insert(min(at, len(lines)), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        path.write_text(newline.join(lines) + newline * final_newline, "utf-8", newline="")
+        rows = fileio._read_numeric_rows(path)
+        with mock.patch.object(fileio, "_read_numeric_rows", side_effect=AssertionError):
+            fast = load_numeric_csv(path)
+    assert fast.shape == rows.shape and fast.tobytes() == rows.tobytes()
+
+
+# Files np.loadtxt refuses or could misread, and files whose header rule
+# decides the result, each with the row reader's array or error message.
+EDGE_FILES = {
+    "quoted_numbers": ('"1.5",2\n3,"4"\n', [[1.5, 2.0], [3.0, 4.0]]),
+    "whitespace_row": ("1,2\n  \t\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank_field_row": ("1,2\n , \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "underscore": ("1_0,2\n3,4\n", [[10.0, 2.0], [3.0, 4.0]]),
+    "unicode_digits": ("\u0661\u0662,2\n3,4\n", [[12.0, 2.0], [3.0, 4.0]]),
+    "spaced_fields": (" 1 ,\t2\n3 , 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+    "multiline_header": ('"a\nb",c\n1,2\n', [[1.0, 2.0]]),
+    "bom_header": ("\ufeff1,2\n3,4\n", [[3.0, 4.0]]),
+    "ragged": ("1,2\n3\n", "{path}: row 2 has 1 fields, expected 2"),
+    "trailing_comma": ("1,2,\n3,4,\n", "{path}: row 1, column 3: '' is not a number"),
+    "bad_field": ("a,b\n1,2\n3,x\n", "{path}: row 2, column 2: 'x' is not a number"),
+    "info_separator": ("1,2\n3\x1c,4\n", "{path}: row 2, column 1: '3\\x1c' is not a number"),
+    "nul": ("1,2\n3\x00,4\n", "{path}: row 2, column 1: '3\\x00' is not a number"),
+    "long_field": (
+        "1,2\n0." + "0" * 131072 + "1,2\n",
+        "cannot read {path}: field larger than field limit (131072)",
+    ),
+    "header_only": ("a,b\n", "{path} holds a header but no data rows"),
+    "header_blank_tail": ("a,b\n\n , \n", "{path} holds a header but no data rows"),
+    "hex": ("0x1,2\n", "{path} holds a header but no data rows"),
+    "double_header": ("a,b\nc,d\n1,2\n", "{path}: row 1, column 1: 'c' is not a number"),
+    "blank_only": ("\n \n,\n", "{path} holds no data rows"),
+    "empty": ("", "{path} holds no data rows"),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_FILES)
+def test_load_numeric_csv_edge_files_keep_the_row_reader_results(tmp_path, name):
+    text, expected = EDGE_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_text(text, "utf-8", newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if isinstance(expected, str):
+            with pytest.raises(CsvFormatError) as info:
+                load_numeric_csv(path)
+            assert str(info.value) == expected.format(path=path)
+        else:
+            assert load_numeric_csv(path).tolist() == expected
+    assert caught == []
+
+
+def test_load_numeric_csv_reads_a_pipe_once(tmp_path):
+    fifo = tmp_path / "m.csv"
+    os.mkfifo(fifo)
+    out = []
+    reader = threading.Thread(target=lambda: out.append(load_numeric_csv(fifo)), daemon=True)
+    reader.start()
+    with open(fifo, "w", encoding="utf-8") as fh:
+        fh.write("1,2\n3,4\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert out[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_load_numeric_csv_reports_undecodable_bytes(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1,2\n\xff,3\n")
+    with pytest.raises(CsvFormatError, match="cannot read .*can't decode byte 0xff in position 4"):
+        load_numeric_csv(path)
 
 
 def test_load_labels_csv_modes(tmp_path):

@@ -15,6 +15,7 @@ from mddtest import (
     OutOfRangePValue,
     PointSet,
     RankStructure,
+    ScenarioSpec,
     bh_adjust,
     build_ranks,
     clt_diagnostic,
@@ -22,13 +23,14 @@ from mddtest import (
     estimate_fast,
     euclidean_distances,
     fresh_seed,
+    generate,
     permutation_test,
     pvalue_from_null,
     scaling_diagnostic,
 )
 from mddtest import cli
 from mddtest.estimator import MAX_EXACT_N
-from mddtest.inference import _substream
+from mddtest.inference import MIN_CLT_REPS, MIN_SCALING_REPS, _substream
 
 
 def test_pvalue_from_null_worked_example():
@@ -305,3 +307,14 @@ def test_seeds_outside_64_bits_are_rejected():
     assert not np.array_equal(
         draw_label_permutations(8, 9, 0), draw_label_permutations(8, 9, 2**64 - 1)
     )
+    # data generation and the diagnostics key their substreams on the seed too
+    spec = ScenarioSpec(scenario="sim1", column=1, R=2, n=8, dim=3)
+    for call in (
+        lambda seed: generate(spec, seed=seed),
+        lambda seed: scaling_diagnostic(gaussian_pair, (8,), MIN_SCALING_REPS, seed),
+        lambda seed: clt_diagnostic(gaussian_pair, 8, MIN_CLT_REPS, seed),
+    ):
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidSpec):
+                call(seed)
+        call(2**64 - 1)
