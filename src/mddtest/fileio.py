@@ -1,6 +1,6 @@
 """CSV and JSON reading and writing; every input format is read here.
 
-CSV files are comma separated with ``.`` decimals, UTF-8 encoded; an
+CSV files are comma separated with ``.`` decimals, UTF-8 (BOM optional); an
 optional header row is detected by a non-numeric first row (for one
 column, by its first field).  Numeric CSVs are parsed by numpy's C
 reader, with a row reader for the files it refuses.  Result and grid
@@ -43,7 +43,7 @@ def fmt_float(x: float) -> str:
 def _csv_rows(path) -> Iterator[list[str]]:
     """Yield the rows of a CSV file lazily, skipping blank ones."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for row in csv.reader(fh):
                 if any(f.strip() for f in row):
                     yield row
@@ -128,7 +128,7 @@ def load_numeric_csv(path) -> np.ndarray:
     if not os.path.isfile(path):
         return _read_numeric_rows(path)  # a pipe cannot be read twice
     try:
-        with open(path, newline="", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
             rows = (row for row in csv.reader(fh) if any(field.strip() for field in row))
             first = next(rows, None)

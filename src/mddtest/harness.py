@@ -16,10 +16,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .baselines import double_center, hhg_statistic_discrete
 from .errors import InvalidReps, InvalidSpec
-from .estimator import MAX_EXACT_N, LabelVector, _class_forms, build_ranks
-from .inference import _mdd_keys, _permutation_null, draw_label_permutations
+from .estimator import MAX_EXACT_N
+from .inference import NULL_KEYS, _null_pvalues
 from .metrics import (
     DistanceMatrix,
     PointSet,
@@ -30,7 +29,7 @@ from .metrics import (
 )
 from .simulate import ScenarioSpec, generate
 
-KNOWN_TESTS = ("mdd", "dcov", "hhg")
+KNOWN_TESTS = tuple(NULL_KEYS)
 SPHERE_METRICS = ("euclidean", "geodesic")
 Y_ENCODING = "discrete 0/1 metric on class codes"
 
@@ -75,13 +74,13 @@ class ExperimentGrid:
             raise InvalidSpec("at least one test must be requested")
         if len(set(self.tests)) != len(self.tests):
             raise InvalidSpec(f"each test may be requested once, got {list(self.tests)}")
-        if "mdd" in self.tests:
-            for index, cell in enumerate(self.cells):
-                if cell.spec.n > MAX_EXACT_N:
-                    raise InvalidSpec(
-                        f"cell {index} has n = {cell.spec.n}, but mdd needs "
-                        f"n <= {MAX_EXACT_N}"
-                    )
+        for index, cell in enumerate(self.cells):
+            if "mdd" in self.tests and cell.spec.n > MAX_EXACT_N:
+                raise InvalidSpec(
+                    f"cell {index} has n = {cell.spec.n}, but mdd needs n <= {MAX_EXACT_N}"
+                )
+            if "hhg" in self.tests and cell.spec.n < 3:
+                raise InvalidSpec(f"cell {index} has n = {cell.spec.n}, but hhg needs n >= 3")
         if self.seed < 0:
             raise InvalidSpec(f"the master seed must be >= 0, got {self.seed}")
         if self.sphere_metric not in SPHERE_METRICS:
@@ -115,47 +114,13 @@ def _cell_seeds(master_seed: int, cell_index: int, rep: int) -> tuple[int, int]:
     return int(state[0] & (2**63 - 1)), int(state[1] & (2**63 - 1))
 
 
-def _replicate_pvalues(
-    d: DistanceMatrix,
-    labels: LabelVector,
-    tests: tuple[str, ...],
-    permutations: int,
-    perm_seed: int,
-) -> dict[str, float]:
-    """p-values for every requested test on one dataset.
-
-    With ``A`` the double-centred distances, ``dcov = -sum_r z_r' A z_r /
-    n^2``; its key sums these class forms in sorted order, so relabelling
-    a partition's classes cannot change the key's bits.
-    """
-    perms = draw_label_permutations(d.n, permutations, perm_seed)
-    statistics = {}
-    if "mdd" in tests or "hhg" in tests:
-        ranks = build_ranks(d)
-    if "mdd" in tests:
-        statistics["mdd"] = _mdd_keys(ranks, labels)
-    if "dcov" in tests:
-        a = double_center(d.values)
-        statistics["dcov"] = lambda codings: -np.sort(
-            _class_forms(a, codings, labels.num_classes), axis=1
-        ).sum(axis=1)
-    if "hhg" in tests:
-        statistics["hhg"] = lambda codings: hhg_statistic_discrete(
-            ranks, codings, labels.counts
-        )
-    return {
-        test: _permutation_null(statistic, labels.codes, perms)[1]
-        for test, statistic in statistics.items()
-    }
-
-
 def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> tuple[int, int, dict[str, float]]:
     grid, cell_index, rep = args
     cell = grid.cells[cell_index]
     data_seed, perm_seed = _cell_seeds(grid.seed, cell_index, rep)
     points, labels = generate(cell.spec, seed=data_seed)
     d = distances_for(points, grid.sphere_metric)
-    pvals = _replicate_pvalues(d, labels, grid.tests, grid.permutations, perm_seed)
+    pvals = _null_pvalues(d, labels, grid.tests, grid.permutations, perm_seed)
     return cell_index, rep, pvals
 
 
@@ -284,11 +249,8 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
     index, so the thread count never changes the report.
     """
     start = time.perf_counter()
-    tasks = []
-    for cell_index, cell in enumerate(grid.cells):
-        reps = cell.reps if cell.reps is not None else grid.reps
-        for rep in range(reps):
-            tasks.append((grid, cell_index, rep))
+    reps = [grid.reps if cell.reps is None else cell.reps for cell in grid.cells]
+    tasks = [(grid, i, rep) for i, count in enumerate(reps) for rep in range(count)]
     workers = min(threads, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: multiprocessing would add to every `import mddtest`
@@ -299,21 +261,13 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
             outcomes = list(pool.map(_run_replicate, tasks, chunksize=chunk))
     else:
         outcomes = [_run_replicate(task) for task in tasks]
-    rejections: dict[int, dict[str, int]] = {}
-    reps_done: dict[int, int] = {}
+    rejections = [{t: 0 for t in grid.tests} for _ in grid.cells]
     for cell_index, _rep, pvals in outcomes:
-        slot = rejections.setdefault(cell_index, {t: 0 for t in grid.tests})
-        reps_done[cell_index] = reps_done.get(cell_index, 0) + 1
         for t in grid.tests:
-            if pvals[t] <= grid.alpha:
-                slot[t] += 1
+            rejections[cell_index][t] += pvals[t] <= grid.alpha
     cells = [
-        CellResult(
-            spec=cell.spec,
-            reps=reps_done[cell_index],
-            rejections=rejections[cell_index],
-        )
-        for cell_index, cell in enumerate(grid.cells)
+        CellResult(spec=cell.spec, reps=reps[i], rejections=rejections[i])
+        for i, cell in enumerate(grid.cells)
     ]
     config = {
         "name": grid.name,

@@ -14,6 +14,7 @@ a tie ``T_b == T_observed`` always counts as a tie.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .baselines import double_center, hhg_statistic_discrete
 from .errors import (
     DegenerateLabelsWarning,
     InvalidB,
@@ -37,6 +39,7 @@ from .estimator import (
     build_ranks,
     estimate_fast,
 )
+from .metrics import DistanceMatrix
 
 DEFAULT_PERMUTATIONS = 499
 MIN_SCALING_REPS = 20
@@ -119,12 +122,10 @@ def pvalue_from_null(observed, null: np.ndarray) -> float:
     return (1 + ge) / (b + 1)
 
 
-def _permutation_null(
-    statistic: BatchStatistic, codes: np.ndarray, perms: np.ndarray
-) -> tuple[object, float]:
-    """The observed key and the p-value over ``perms``, all scored in one batch."""
+def _permutation_null(statistic: BatchStatistic, codes: np.ndarray, perms: np.ndarray) -> float:
+    """The p-value of the observed coding over ``perms``, all scored in one batch."""
     keys = statistic(np.vstack([codes, codes[perms]]))
-    return keys[0], pvalue_from_null(keys[0], keys[1:])
+    return pvalue_from_null(keys[0], keys[1:])
 
 
 def _mdd_keys(
@@ -134,7 +135,7 @@ def _mdd_keys(
 
     ``q_r = z_r' K z_r`` are the class forms of the ball kernel; the
     statistic increases with the key.  Keys are Python ints, because the
-    weighted sum can overflow int64.
+    weighted sum can overflow int64, so any split of a batch keeps them.
     """
     _check_sizes(ranks.n, labels)
     kernel = _ball_kernel(ranks, include_diagonal)
@@ -144,6 +145,45 @@ def _mdd_keys(
         _class_forms(kernel, codings, labels.num_classes).astype(np.int64).astype(object)
         @ weights
     )
+
+
+def _dcov_keys(d: DistanceMatrix, labels: LabelVector) -> BatchStatistic:
+    """Keys ``-sum_r z_r' A z_r = n^2 dcov`` of codings, ``A`` the double-centred
+    distances.  The float class forms are summed in sorted order, so relabelling
+    a partition's classes keeps a key's bits; splitting a batch keeps them only
+    along the chunks of ``_class_forms``."""
+    a = double_center(d.values)
+    return lambda codings: -np.sort(
+        _class_forms(a, codings, labels.num_classes), axis=1
+    ).sum(axis=1)
+
+
+def _hhg_keys(ranks: RankStructure, labels: LabelVector) -> BatchStatistic:
+    """HHG statistics of codings; each is summed on its own, so any split of
+    a batch keeps its bits."""
+    return lambda codings: hhg_statistic_discrete(ranks, codings, labels.counts)
+
+
+# test name -> key builder (d, ranks, labels); ranks() builds the rank arrays once
+NULL_KEYS = {
+    "mdd": lambda d, ranks, labels: _mdd_keys(ranks(), labels),
+    "dcov": lambda d, ranks, labels: _dcov_keys(d, labels),
+    "hhg": lambda d, ranks, labels: _hhg_keys(ranks(), labels),
+}
+
+
+def _null_pvalues(
+    d: DistanceMatrix, labels: LabelVector, tests: Sequence[str], permutations: int, seed: int
+) -> dict[str, float]:
+    """p-values of ``tests`` on one dataset over one draw of permutations.  The
+    rank arrays are built only if a test needs them, and the keys one test at a
+    time, so one test's n^2 key array is live at once."""
+    perms = draw_label_permutations(d.n, permutations, seed)
+    ranks = functools.cache(lambda: build_ranks(d))
+    return {
+        test: _permutation_null(NULL_KEYS[test](d, ranks, labels), labels.codes, perms)
+        for test in tests
+    }
 
 
 def permutation_test(
@@ -171,7 +211,7 @@ def permutation_test(
             DegenerateLabelsWarning,
         )
     perms = draw_label_permutations(labels.n, permutations, seed)
-    p_value = _permutation_null(statistic, labels.codes, perms)[1]
+    p_value = _permutation_null(statistic, labels.codes, perms)
     # the kernel and the permutations are n^2 and B*n arrays: free them first
     del statistic, perms
     est = estimate_fast(ranks, labels, include_diagonal=include_diagonal)

@@ -430,6 +430,15 @@ def test_adjust_csv_without_header_keeps_extra_columns(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_adjust_reads_the_first_row_after_a_byte_order_mark(tmp_path, capsys):
+    src = tmp_path / "vals.csv"
+    write(src, "\ufeff0.01\n0.04\n0.5\n")
+    out = tmp_path / "adj.csv"
+    assert main(["adjust", "--input", str(src), "--output", str(out)]) == 0
+    assert read_csv_rows(out) == [["0.01", "0.03"], ["0.04", "0.06"], ["0.5", "0.5"]]
+    assert "adjusted 3 p-values" in capsys.readouterr().out
+
+
 def test_adjust_directory_of_results(tmp_path, capsys):
     points = write(tmp_path / "p.csv", "0\n1\n")
     labels = write(tmp_path / "l.csv", "0\n1\n")

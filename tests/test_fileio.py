@@ -115,7 +115,9 @@ EDGE_FILES = {
     "unicode_digits": ("\u0661\u0662,2\n3,4\n", [[12.0, 2.0], [3.0, 4.0]]),
     "spaced_fields": (" 1 ,\t2\n3 , 4 \n", [[1.0, 2.0], [3.0, 4.0]]),
     "multiline_header": ('"a\nb",c\n1,2\n', [[1.0, 2.0]]),
-    "bom_header": ("\ufeff1,2\n3,4\n", [[3.0, 4.0]]),
+    "bom_data": ("\ufeff1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "bom_header": ("\ufeffa,b\n1,2\n", [[1.0, 2.0]]),
+    "bom_quoted": ('\ufeff"1",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
     "ragged": ("1,2\n3\n", "{path}: row 2 has 1 fields, expected 2"),
     "trailing_comma": ("1,2,\n3,4,\n", "{path}: row 1, column 3: '' is not a number"),
     "bad_field": ("a,b\n1,2\n3,x\n", "{path}: row 2, column 2: 'x' is not a number"),
@@ -187,6 +189,14 @@ def test_load_labels_csv_modes(tmp_path):
     path.write_text("a,b\n1\n", encoding="utf-8")
     with pytest.raises(CsvFormatError, match="row 2 has no column 1"):
         load_labels_csv(path, column=1, header="no")
+
+
+def test_load_labels_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("\ufeff0\n1\n0\n1\n", encoding="utf-8")
+    assert load_labels_csv(path).tolist() == [0.0, 1.0, 0.0, 1.0]
+    path.write_text("\ufeffgrp\na\nb\n", encoding="utf-8")
+    assert load_labels_csv(path, header="yes").tolist() == ["a", "b"]
 
 
 def test_write_csv_and_read_back(tmp_path):

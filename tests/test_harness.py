@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import os
 from dataclasses import replace
 
@@ -33,9 +34,9 @@ from mddtest import (
     sphere_distances,
     unit_sphere_embedding,
 )
-from mddtest.fileio import dump_json
-from mddtest import harness
+from mddtest.fileio import dump_json, load_preset
 from mddtest.harness import _cell_seeds, _run_replicate
+from mddtest.inference import _null_pvalues
 
 
 def small_grid(**overrides):
@@ -152,7 +153,24 @@ def test_dcov_pvalue_matches_the_loop_oracle_on_balanced_small_samples():
 
         oracle = pvalue_from_null(stat(codes), np.array([stat(codes[p]) for p in perms]))
         labels = LabelVector.from_codes(codes)
-        assert harness._replicate_pvalues(d, labels, ("dcov",), 99, 1)["dcov"] == oracle, seed
+        assert _null_pvalues(d, labels, ("dcov",), 99, 1)["dcov"] == oracle, seed
+
+
+# sha256 over the sorted (test, p-value) pairs of replicate 0 of every cell of
+# the four presets at reps=1 and 19 permutations, recorded at 86cfccb: a change
+# to any test's null key that moves a null key across the observed one shows here
+PRESET_PVALUES_SHA256 = "97a57e0aa82f3ca3d0ece3be2801b3825b1a85fad832d867c25196cc32fe3eaa"
+
+
+def test_preset_replicate_pvalues_keep_their_recorded_bits():
+    pvalues = []
+    for name in ("table1", "table2", "table3", "table4"):
+        grid = replace(load_preset(name), reps=1, permutations=19)
+        assert grid.tests == ("mdd", "dcov", "hhg")
+        for i in range(len(grid.cells)):
+            pvalues.append(sorted(_run_replicate((grid, i, 0))[2].items()))
+    assert len(pvalues) == 105
+    assert hashlib.sha256(repr(pvalues).encode()).hexdigest() == PRESET_PVALUES_SHA256
 
 
 def test_run_grid_is_deterministic_and_thread_invariant():
@@ -262,6 +280,11 @@ def test_experiment_grid_validation():
     grid = ExperimentGrid(cells=(cell, big), tests=("dcov", "hhg"))
     with pytest.raises(InvalidSpec, match="cell 1 has n = 9742"):
         replace(grid, tests=("dcov", "mdd"))
+    # pairwise 2x2 tables need n >= 3; a grid must not fail after earlier cells ran
+    pair = GridCell(spec=ScenarioSpec(scenario="sim1", column=3, R=1, n=2, dim=2))
+    grid = ExperimentGrid(cells=(cell, pair), tests=("mdd", "dcov"))
+    with pytest.raises(InvalidSpec, match="cell 1 has n = 2, but hhg needs n >= 3"):
+        replace(grid, tests=("mdd", "hhg"))
 
 
 def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):

@@ -28,9 +28,15 @@ from mddtest import (
     pvalue_from_null,
     scaling_diagnostic,
 )
-from mddtest import cli
+from mddtest import cli, inference
 from mddtest.estimator import MAX_EXACT_N
-from mddtest.inference import MIN_CLT_REPS, MIN_SCALING_REPS, _substream
+from mddtest.inference import (
+    MIN_CLT_REPS,
+    MIN_SCALING_REPS,
+    NULL_KEYS,
+    _null_pvalues,
+    _substream,
+)
 
 
 def test_pvalue_from_null_worked_example():
@@ -128,6 +134,39 @@ def test_tie_heavy_grid_pvalues_match_the_exact_oracle(include_diagonal):
             include_diagonal=include_diagonal,
         )
         assert result.p_value == exact_pvalue(d, labels, 29, seed, include_diagonal), seed
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_each_null_pvalue_is_the_same_alone_or_beside_the_others(ties):
+    rng = np.random.default_rng(31 + ties)
+    everything = tuple(NULL_KEYS)
+    for trial in range(4):
+        n = int(rng.integers(6, 30))
+        d = random_distances(rng, n, ties=ties)
+        labels = random_labels(rng, n, 2 + trial % 3)
+        together = _null_pvalues(d, labels, everything, 49, trial)
+        assert list(together) == list(everything)
+        assert _null_pvalues(d, labels, everything[::-1], 49, trial) == together
+        for test in everything:
+            assert _null_pvalues(d, labels, (test,), 49, trial) == {test: together[test]}
+        assert together["mdd"] == permutation_test(
+            build_ranks(d), labels, 49, seed=trial
+        ).p_value
+
+
+def test_a_dcov_only_null_builds_no_rank_arrays(monkeypatch):
+    def refused(d):
+        raise AssertionError("rank arrays built")
+
+    rng = np.random.default_rng(5)
+    d = random_distances(rng, 12)
+    labels = random_labels(rng, 12, 3)
+    expected = _null_pvalues(d, labels, ("dcov",), 19, 2)
+    monkeypatch.setattr(inference, "build_ranks", refused)
+    assert _null_pvalues(d, labels, ("dcov",), 19, 2) == expected
+    for test in ("mdd", "hhg"):
+        with pytest.raises(AssertionError, match="rank arrays built"):
+            _null_pvalues(d, labels, ("dcov", test), 19, 2)
 
 
 def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeypatch, capsys):
