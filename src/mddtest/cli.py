@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
 from .errors import CsvFormatError, InvalidSpec, MddError, MetricError, SizeMismatch
 from .estimator import LabelVector, build_ranks
-from .harness import GridCell, distances_for, run_grid
+from .harness import distances_for, run_grid
 from .inference import bh_adjust, check_permutation_settings, permutation_test
 from .metrics import PointSet, load_precomputed
 
@@ -129,25 +128,20 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.grid is None and args.preset is None:
         raise InvalidSpec("one of --grid or --preset is required (or --list-presets)")
-    if args.grid is not None:
-        grid = fileio.load_grid_json(args.grid)
-    else:
-        grid = fileio.load_preset(args.preset)
-    overrides = {}
+    obj = fileio.read_json(args.grid) if args.grid is not None else fileio.read_preset(args.preset)
+    fileio.validate_grid_dict(obj)  # so the flags below meet well-formed cells
+    # the flags replace the file's settings before the grid is built, so a
+    # cell is checked only against the tests that will run
     if args.reps is not None:
         # a rep override flattens any per-cell replicate counts too
-        overrides["reps"] = args.reps
-        overrides["cells"] = tuple(GridCell(spec=c.spec, reps=None) for c in grid.cells)
-    if args.permutations is not None:
-        overrides["permutations"] = args.permutations
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
+        obj["reps"] = args.reps
+        for cell in obj["cells"]:
+            cell.pop("reps", None)
     if args.tests is not None:
-        overrides["tests"] = tuple(t.strip() for t in args.tests.split(",") if t.strip())
-    if overrides:
-        grid = replace(grid, **overrides)
+        obj["tests"] = [t.strip() for t in args.tests.split(",") if t.strip()]
+    flags = {"permutations": args.permutations, "seed": args.seed, "alpha": args.alpha}
+    obj.update((key, value) for key, value in flags.items() if value is not None)
+    grid = fileio.grid_from_dict(obj)
     if args.threads < 1:
         raise InvalidSpec(f"--threads must be >= 1, got {args.threads}")
     if args.output is not None:

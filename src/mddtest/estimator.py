@@ -12,9 +12,7 @@ and the statistic is the weighted squared discrepancy
 
     (1 / n^2) * sum_r p_r * sum_{i, j} [F_r(i, j) - F(i, j)]^2 .
 
-The double sum runs over all ordered pairs including ``i == j``; pass
-``include_diagonal=False`` to drop the ``i == j`` terms (the ``1/n^2``
-normalisation is kept) when probing sensitivity to that choice.
+The double sum runs over all ordered pairs, ``i == j`` included.
 
 Ball membership compares distances with ``<=`` under exact float
 equality, never a tolerance.  Because only comparisons enter, the
@@ -174,9 +172,7 @@ def _check_sizes(n_dist: int, labels: LabelVector) -> None:
         )
 
 
-def estimate_naive(
-    d: DistanceMatrix, labels: LabelVector, include_diagonal: bool = True
-) -> MddEstimate:
+def estimate_naive(d: DistanceMatrix, labels: LabelVector) -> MddEstimate:
     """Direct evaluation of the definition, used as the oracle engine.
 
     For each centre ``i`` the full ball membership matrix
@@ -196,8 +192,6 @@ def estimate_naive(
         f_all = member.sum(axis=1) / n
         f_class = (member @ onehot) / counts
         diff = f_class - f_all[:, None]
-        if not include_diagonal:
-            diff[i, :] = 0.0
         per_class_sums += (diff * diff).sum(axis=0)
     per_class = labels.proportions * per_class_sums / (n * n)
     return MddEstimate(
@@ -242,9 +236,7 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
     return RankStructure(order=order, sorted_counts=sorted_counts, n=n)
 
 
-def estimate_fast(
-    ranks: RankStructure, labels: LabelVector, include_diagonal: bool = True
-) -> MddEstimate:
+def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     """Evaluate the statistic from a prebuilt :class:`RankStructure`.
 
     The sorted class codes are gathered once, in the narrowest integer
@@ -287,8 +279,6 @@ def estimate_fast(
             del inside
             diff[rows] -= counts[rows] / n
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
-        if not include_diagonal:  # B(i, i) sits at sorted position 0
-            sums[r] -= float(diff[:, 0] @ diff[:, 0])
     per_class = labels.proportions * sums / (n * n)
     return MddEstimate(
         value=float(per_class.sum()),
@@ -298,8 +288,8 @@ def estimate_fast(
     )
 
 
-def _ball_counts(ranks: RankStructure, cap: int) -> np.ndarray:
-    """The int16 ``U[i, k] = min(u_i[k], cap)``, ``u_i[k] = #{j : d(i, j) >= d(i, k)}``.
+def _ball_counts(ranks: RankStructure) -> np.ndarray:
+    """The int16 ``U[i, k] = u_i[k] = #{j : d(i, j) >= d(i, k)}``.
 
     In sorted order ``u_i`` is ``n`` minus the start of each position's
     tie group.  A group starts where the count changes, and a running
@@ -314,24 +304,21 @@ def _ball_counts(ranks: RankStructure, cap: int) -> np.ndarray:
         starts = np.zeros(counts.shape, dtype=np.int32)
         np.copyto(starts[:, 1:], positions[1:], where=counts[:, 1:] != counts[:, :-1])
         np.maximum.accumulate(starts, axis=1, out=starts)
-        np.put_along_axis(u[rows], ranks.order[rows], np.minimum(n - starts, cap), axis=1)
+        np.put_along_axis(u[rows], ranks.order[rows], n - starts, axis=1)
     return u
 
 
-def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndarray:
+def _ball_kernel(ranks: RankStructure) -> np.ndarray:
     """``K[k, l]``, the number of balls ``B(i, j)`` holding both ``k`` and ``l``.
 
     Point ``k`` lies in ``u_i[k] = #{j : d(i, j) >= d(i, k)}`` balls of
-    row ``i``, so ``K[k, l] = sum_i min(u_i[k], u_i[l])``.  Without the
-    diagonal the balls ``B(i, i)`` go: they are the first tie group of
-    each row, where ``u_i = n``, so capping ``u_i`` at ``n - 1``
-    subtracts ``Zero' Zero``.
+    row ``i``, so ``K[k, l] = sum_i min(u_i[k], u_i[l])``.
 
     Every ``u_i`` is stored once as a row of one int16 matrix ``U``
     (``u <= n <= MAX_EXACT_N < 2^15``).  ``K`` is symmetric, so only its
     upper ``_TILE x _TILE`` tiles are built, then mirrored.  A tile sums
     ``_TILE_ROWS`` rows of ``U`` at a time in int16 over groups of
-    ``32767 // cap >= 3`` rows, which cannot wrap, and adds each group
+    ``32767 // n >= 3`` rows, which cannot wrap, and adds each group
     into int32.  Entries are at most ``n^2``, exact in int32 and in the
     float64 ``K`` returned for BLAS; the build holds ``U`` and ``K``, 10
     bytes per entry.
@@ -339,9 +326,8 @@ def _ball_kernel(ranks: RankStructure, include_diagonal: bool = True) -> np.ndar
     n = ranks.n
     if n > MAX_EXACT_N:
         raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {n}")
-    cap = n if include_diagonal else n - 1
-    u = _ball_counts(ranks, cap)
-    group = np.iinfo(np.int16).max // cap
+    u = _ball_counts(ranks)
+    group = np.iinfo(np.int16).max // n
     kernel = np.empty((n, n))
     scratch = np.empty((_TILE_ROWS, _TILE, _TILE), dtype=np.int16)
     for a in range(0, n, _TILE):

@@ -40,19 +40,23 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_rows(path) -> Iterator[list[str]]:
-    """Yield the rows of a CSV file lazily, skipping blank ones."""
+def _csv_rows(path) -> Iterator[tuple[int, list[str]]]:
+    """Yield the rows of a CSV file lazily, skipping blank ones, each with
+    the 1-based line of the file it starts on."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            line = 1
+            for row in reader:
                 if any(f.strip() for f in row):
-                    yield row
+                    yield line, row
+                line = reader.line_num + 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def read_csv_rows(path) -> list[list[str]]:
-    rows = list(_csv_rows(path))
+    rows = [row for _line, row in _csv_rows(path)]
     if not rows:
         raise CsvFormatError(f"{path} holds no data rows")
     return rows
@@ -86,23 +90,23 @@ def parse_floats(
 def _read_numeric_rows(path) -> np.ndarray:
     """The row reader behind :func:`load_numeric_csv`: every row through
     ``csv`` and :func:`parse_floats`, so that an error names the bad field
-    by row and column.  Rows are parsed as they are read, so the text of
-    the file is never held whole.
+    by its line in the file and its column.  Rows are parsed as they are
+    read, so the text of the file is never held whole.
     """
     rows = _csv_rows(path)
-    first = next(rows, None)
+    line, first = next(rows, (0, None))
     if first is None:
         raise CsvFormatError(f"{path} holds no data rows")
     if not all(_is_number(field) for field in first):
-        first = next(rows, None)
+        line, first = next(rows, (0, None))
         if first is None:
             raise CsvFormatError(f"{path} holds a header but no data rows")
     width = len(first)
     out = []
-    for i, row in enumerate(itertools.chain([first], rows), start=1):
+    for line, row in itertools.chain([(line, first)], rows):
         if len(row) != width:
-            raise CsvFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
-        out.append(parse_floats(path, row, row=i))
+            raise CsvFormatError(f"{path}: row {line} has {len(row)} fields, expected {width}")
+        out.append(parse_floats(path, row, row=line))
     return np.array(out)
 
 
@@ -292,7 +296,7 @@ def validate_result_dict(obj) -> None:
     _check_schema(obj, load_schema("result"), "")
 
 
-def _read_json(path):
+def read_json(path):
     """Parse one UTF-8 JSON file; every failure, too deep nesting included, names the file."""
     try:
         return json.loads(Path(path).read_bytes().decode("utf-8"))
@@ -304,7 +308,7 @@ def _read_json(path):
 
 def load_result_json(path) -> dict:
     """Read one result JSON file and validate it; errors name the file."""
-    obj = _read_json(path)
+    obj = read_json(path)
     try:
         validate_result_dict(obj)
     except GridConfigError as exc:
@@ -340,6 +344,11 @@ def result_csv_rows(result: TestResult) -> list[list[str]]:
     return [header, row]
 
 
+def validate_grid_dict(obj) -> None:
+    """Check a grid dictionary against ``schemas/grid.schema.json``."""
+    _check_schema(obj, load_schema("grid"), "")
+
+
 def grid_from_dict(obj) -> ExperimentGrid:
     """Build an :class:`ExperimentGrid` from parsed JSON.
 
@@ -347,7 +356,7 @@ def grid_from_dict(obj) -> ExperimentGrid:
     Validation failures raise :class:`GridConfigError` whose message
     starts with a JSON-pointer-style path to the offending field.
     """
-    _check_schema(obj, load_schema("grid"), "")
+    validate_grid_dict(obj)
     cells = []
     for index, cell in enumerate(obj["cells"]):
         fields = {k: v for k, v in cell.items() if k != "reps"}
@@ -374,7 +383,7 @@ def grid_from_dict(obj) -> ExperimentGrid:
 
 
 def load_grid_json(path) -> ExperimentGrid:
-    return grid_from_dict(_read_json(path))
+    return grid_from_dict(read_json(path))
 
 
 def preset_names() -> list[str]:
@@ -382,11 +391,16 @@ def preset_names() -> list[str]:
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def load_preset(name: str) -> ExperimentGrid:
+def read_preset(name: str) -> dict:
+    """The parsed JSON of a bundled preset grid."""
     root = resources.files("mddtest").joinpath("presets")
     candidate = root.joinpath(f"{name}.json")
     if not candidate.is_file():
         raise GridConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    return grid_from_dict(json.loads(candidate.read_text("utf-8")))
+    return json.loads(candidate.read_text("utf-8"))
+
+
+def load_preset(name: str) -> ExperimentGrid:
+    return grid_from_dict(read_preset(name))

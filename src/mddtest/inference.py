@@ -128,9 +128,7 @@ def _permutation_null(statistic: BatchStatistic, codes: np.ndarray, perms: np.nd
     return pvalue_from_null(keys[0], keys[1:])
 
 
-def _mdd_keys(
-    ranks: RankStructure, labels: LabelVector, include_diagonal: bool = True
-) -> BatchStatistic:
+def _mdd_keys(ranks: RankStructure, labels: LabelVector) -> BatchStatistic:
     """Exact MDD keys ``sum_r q_r * lcm(n_1..n_R) / n_r`` of codings.
 
     ``q_r = z_r' K z_r`` are the class forms of the ball kernel; the
@@ -138,7 +136,7 @@ def _mdd_keys(
     weighted sum can overflow int64, so any split of a batch keeps them.
     """
     _check_sizes(ranks.n, labels)
-    kernel = _ball_kernel(ranks, include_diagonal)
+    kernel = _ball_kernel(ranks)
     counts = labels.counts.tolist()
     weights = np.array([math.lcm(*counts) // c for c in counts], dtype=object)
     return lambda codings: (
@@ -191,7 +189,6 @@ def permutation_test(
     labels: LabelVector,
     permutations: int = DEFAULT_PERMUTATIONS,
     seed: int | None = None,
-    include_diagonal: bool = True,
 ) -> TestResult:
     """Permutation test of the MDD statistic against label exchange.
 
@@ -201,7 +198,7 @@ def permutation_test(
     Inputs are never mutated; the same seed gives bit-identical results.
     """
     check_permutation_settings(permutations, seed)
-    statistic = _mdd_keys(ranks, labels, include_diagonal)
+    statistic = _mdd_keys(ranks, labels)
     if seed is None:
         seed = fresh_seed()
     if labels.num_classes == 1:
@@ -214,7 +211,7 @@ def permutation_test(
     p_value = _permutation_null(statistic, labels.codes, perms)
     # the kernel and the permutations are n^2 and B*n arrays: free them first
     del statistic, perms
-    est = estimate_fast(ranks, labels, include_diagonal=include_diagonal)
+    est = estimate_fast(ranks, labels)
     return TestResult(
         statistic=est.value,
         scaled=labels.n * est.value,

@@ -225,11 +225,13 @@ def load_precomputed(matrix) -> DistanceMatrix:
     values = np.asarray(matrix, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise AsymmetricMatrix("precomputed distance matrix must be square")
+    if values.shape[0] < 2:
+        raise TooFewSamples(f"need at least 2 observations, got {values.shape[0]}")
     if not np.isfinite(values).all():
         raise NonFiniteEntry("precomputed distance matrix holds a non-finite entry")
     if (values < 0.0).any():
         raise NegativeDistance("precomputed distance matrix holds a negative entry")
-    gap = float(np.abs(values - values.T).max()) if values.size else 0.0
+    gap = float(np.abs(values - values.T).max())
     if gap > SYMMETRY_TOL:
         raise AsymmetricMatrix(
             f"asymmetry {gap:.3e} exceeds tolerance {SYMMETRY_TOL:g}"
@@ -248,7 +250,7 @@ def load_precomputed(matrix) -> DistanceMatrix:
     return DistanceMatrix(out)
 
 
-def unit_sphere_embedding(points: PointSet, descriptor: str | None = None) -> PointSet:
+def unit_sphere_embedding(points: PointSet) -> PointSet:
     """Project euclidean rows radially onto the unit sphere.
 
     Used for coordinate tuples that should be consumed by the
@@ -258,6 +260,4 @@ def unit_sphere_embedding(points: PointSet, descriptor: str | None = None) -> Po
     norms = np.sqrt((points.data * points.data).sum(axis=1, keepdims=True))
     if norms.min() <= 0.0:
         raise DegenerateShape("cannot project a zero row onto the unit sphere")
-    if descriptor is None:
-        descriptor = points.descriptor
-    return PointSet.sphere(points.data / norms, descriptor)
+    return PointSet.sphere(points.data / norms, points.descriptor)

@@ -69,7 +69,6 @@ class ScenarioSpec:
     noise: str | None = None
     mean_gap: float | None = None
     kappa: float | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -363,15 +362,8 @@ def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVe
     return PointSet.shape(configs, descriptor), labels
 
 
-def generate(spec: ScenarioSpec, seed: int | None = None) -> tuple[PointSet, LabelVector]:
-    """Dispatch a spec to its generator.
-
-    ``seed`` overrides ``spec.seed``; one of the two must be set.
-    """
-    if seed is None:
-        seed = spec.seed
-    if seed is None:
-        raise InvalidSpec("a seed is required, either in the spec or as an argument")
+def generate(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
+    """Dispatch a spec to its generator."""
     if spec.scenario == "sim1" and not spec.null:
         spec = replace(spec, null=True)
     if spec.scenario == "sim4":

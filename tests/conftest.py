@@ -51,7 +51,7 @@ def random_distances(rng, n, kind="euclidean", ties=False):
     return euclidean_distances(PointSet.euclidean(pts))
 
 
-def exact_statistic(values, codes, R, include_diagonal=True):
+def exact_statistic(values, codes, R):
     """Quadruple-loop evaluation of the definition over Fractions.
 
     Only comparisons touch the distances, so the result is an exact
@@ -64,8 +64,6 @@ def exact_statistic(values, codes, R, include_diagonal=True):
         acc = Fraction(0)
         for i in range(n):
             for j in range(n):
-                if not include_diagonal and i == j:
-                    continue
                 ball = [k for k in range(n) if values[i][k] <= values[i][j]]
                 f_all = Fraction(len(ball), n)
                 f_r = Fraction(sum(1 for k in ball if codes[k] == r), counts[r])

@@ -272,6 +272,17 @@ def test_simulate_overrides(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_checks_cells_only_against_the_tests_that_will_run(tmp_path, capsys):
+    # hhg needs n >= 3: the flag, not the file, decides whether it runs
+    pair = {"scenario": "sim1", "column": 3, "R": 1, "n": 2, "dim": 2}
+    both = write(tmp_path / "both.json", json.dumps(dict(GRID, tests=["mdd", "hhg"], cells=[pair])))
+    assert main(["simulate", "--grid", both, "--tests", "mdd,dcov"]) == 0
+    capsys.readouterr()
+    mdd = write(tmp_path / "mdd.json", json.dumps(dict(GRID, tests=["mdd"], cells=[pair])))
+    assert main(["simulate", "--grid", mdd, "--tests", "hhg"]) == 2
+    assert "cell 0 has n = 2, but hhg needs n >= 3" in capsys.readouterr().err
+
+
 def test_simulate_csv_and_text_outputs(tmp_path, capsys):
     grid = write(tmp_path / "grid.json", json.dumps(GRID))
     csv_out = tmp_path / "report.csv"

@@ -107,13 +107,12 @@ def test_rank_consumers_ignore_the_order_within_ties():
         other = RankStructure(order=shuffled, sorted_counts=ranks.sorted_counts, n=n)
         labels = random_labels(rng, n, 3)
         codings = np.stack([rng.permutation(labels.codes) for _ in range(4)])
-        for include in (True, False):
-            assert estimate_fast(other, labels, include) == estimate_fast(ranks, labels, include)
-            assert np.array_equal(_ball_kernel(other, include), _ball_kernel(ranks, include))
-            assert (
-                permutation_test(other, labels, 19, seed=n, include_diagonal=include).p_value
-                == permutation_test(ranks, labels, 19, seed=n, include_diagonal=include).p_value
-            )
+        assert estimate_fast(other, labels) == estimate_fast(ranks, labels)
+        assert np.array_equal(_ball_kernel(other), _ball_kernel(ranks))
+        assert (
+            permutation_test(other, labels, 19, seed=n).p_value
+            == permutation_test(ranks, labels, 19, seed=n).p_value
+        )
         assert np.array_equal(
             hhg_statistic_discrete(other, codings, labels.counts),
             hhg_statistic_discrete(ranks, codings, labels.counts),
@@ -121,35 +120,33 @@ def test_rank_consumers_ignore_the_order_within_ties():
     assert moved_any
 
 
-def ball_counts_loop(ranks, cap):
+def ball_counts_loop(ranks):
     """Per-row oracle for ``U``: a tie group starts where the counts of
     earlier groups end, found by one left bisection per row."""
     n = ranks.n
     u = np.empty((n, n), dtype=np.int64)
     for i in range(n):
         counts = ranks.sorted_counts[i]
-        u[i, ranks.order[i]] = np.minimum(n - np.searchsorted(counts, counts, side="left"), cap)
+        u[i, ranks.order[i]] = n - np.searchsorted(counts, counts, side="left")
     return u
 
 
-def ball_kernel_loop(ranks, include_diagonal=True):
+def ball_kernel_loop(ranks):
     """Per-row oracle: add ``min(u_i[k], u_i[l])`` one row ``i`` at a time."""
     n = ranks.n
     kernel = np.zeros((n, n), dtype=np.int64)
-    for u in ball_counts_loop(ranks, n if include_diagonal else n - 1):
+    for u in ball_counts_loop(ranks):
         kernel += np.minimum(u[:, None], u[None, :])
     return kernel
 
 
-def ball_kernel_definition(values, include_diagonal=True):
-    """``K[k, l] = sum_i sum_j [d_ik <= d_ij][d_il <= d_ij]``, ``j != i`` without
-    the diagonal.  Counts stay below 2^53, so the float products are exact."""
+def ball_kernel_definition(values):
+    """``K[k, l] = sum_i sum_j [d_ik <= d_ij][d_il <= d_ij]``.  Counts stay
+    below 2^53, so the float products are exact."""
     n = len(values)
     kernel = np.zeros((n, n))
-    for i, row in enumerate(values):
+    for row in values:
         member = (row[None, :] <= row[:, None]).astype(np.float64)  # k in B(i, j)
-        if not include_diagonal:
-            member[i] = 0.0
         kernel += member.T @ member
     return kernel
 
@@ -160,26 +157,24 @@ def test_ball_kernel_matches_both_oracles_around_the_tile_size():
         for ties in (False, True):
             d = random_distances(rng, n, ties=ties)
             ranks = build_ranks(d)
-            for include in (True, False):
-                kernel = _ball_kernel(ranks, include)
-                assert kernel.dtype == np.float64
-                assert np.array_equal(kernel, ball_kernel_loop(ranks, include)), (n, ties)
-                # the definition costs O(n^4); two tiles are covered by the loop
-                if n <= _TILE + 1:
-                    assert np.array_equal(kernel, ball_kernel_definition(d.values, include))
+            kernel = _ball_kernel(ranks)
+            assert kernel.dtype == np.float64
+            assert np.array_equal(kernel, ball_kernel_loop(ranks)), (n, ties)
+            # the definition costs O(n^4); two tiles are covered by the loop
+            if n <= _TILE + 1:
+                assert np.array_equal(kernel, ball_kernel_definition(d.values))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(
     points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=12),
-    include=st.booleans(),
 )
-def test_ball_kernel_matches_the_definition_on_tie_heavy_samples(points, include):
+def test_ball_kernel_matches_the_definition_on_tie_heavy_samples(points):
     d = euclidean_distances(PointSet.euclidean(np.array(points, dtype=np.float64)))
     ranks = build_ranks(d)
-    kernel = _ball_kernel(ranks, include)
-    assert np.array_equal(kernel, ball_kernel_definition(d.values, include))
-    assert np.array_equal(kernel, ball_kernel_loop(ranks, include))
+    kernel = _ball_kernel(ranks)
+    assert np.array_equal(kernel, ball_kernel_definition(d.values))
+    assert np.array_equal(kernel, ball_kernel_loop(ranks))
 
 
 def ball_kernel_row_sums(u):
@@ -196,23 +191,21 @@ def ball_kernel_row_sums(u):
 
 
 def test_ball_kernel_is_exact_where_an_int16_group_is_shorter_than_a_row_block():
-    # from cap = 2048 on, 32767 // cap rows are fewer than _TILE_ROWS; with
-    # nine points in ten at one site most minima are the cap, so the int16
+    # from n = 2048 on, 32767 // n rows are fewer than _TILE_ROWS; with
+    # nine points in ten at one site most minima are n, so the int16
     # group sums come as close to wrapping as they can
     n = 2049
     rng = np.random.default_rng(67)
     points = np.where(rng.random((n, 1)) < 0.9, 0.0, rng.standard_normal((n, 3)))
     ranks = build_ranks(euclidean_distances(PointSet.euclidean(points)))
-    for include in (True, False):
-        cap = n if include else n - 1
-        assert np.iinfo(np.int16).max // cap < _TILE_ROWS
-        kernel = _ball_kernel(ranks, include)
-        u = ball_counts_loop(ranks, cap)
-        assert np.array_equal(np.diag(kernel), u.sum(axis=0))
-        assert np.array_equal(kernel.sum(axis=1), ball_kernel_row_sums(u))
+    assert np.iinfo(np.int16).max // n < _TILE_ROWS
+    kernel = _ball_kernel(ranks)
+    u = ball_counts_loop(ranks)
+    assert np.array_equal(np.diag(kernel), u.sum(axis=0))
+    assert np.array_equal(kernel.sum(axis=1), ball_kernel_row_sums(u))
 
 
-def estimate_fast_per_class(ranks, labels, include_diagonal=True):
+def estimate_fast_per_class(ranks, labels):
     """Per-class oracle: every class, the last included, reads its own
     running count at the tie-run ends."""
     n = ranks.n
@@ -224,8 +217,6 @@ def estimate_fast_per_class(ranks, labels, include_diagonal=True):
         cum = np.cumsum(sorted_codes == r, axis=1, dtype=np.int32)
         diff = cum.ravel().take(run_end) / labels.counts[r] - f_all
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
-        if not include_diagonal:
-            sums[r] -= float(diff[:, 0] @ diff[:, 0])
     per_class = labels.proportions * sums / (n * n)
     return MddEstimate(
         value=float(per_class.sum()),
@@ -240,9 +231,7 @@ def test_estimate_fast_matches_the_per_class_loop_bit_for_bit():
         for rng, d in tie_heavy_instances(59 + R, 4):
             ranks = build_ranks(d)
             labels = random_labels(rng, d.n, R)
-            for include in (True, False):
-                expected = estimate_fast_per_class(ranks, labels, include)
-                assert estimate_fast(ranks, labels, include) == expected, (R, d.n)
+            assert estimate_fast(ranks, labels) == estimate_fast_per_class(ranks, labels), (R, d.n)
 
 
 def build_ranks_unblocked(d):
@@ -257,7 +246,7 @@ def build_ranks_unblocked(d):
     return RankStructure(order=order, sorted_counts=np.ascontiguousarray(sorted_counts), n=n)
 
 
-def estimate_fast_unblocked(ranks, labels, include_diagonal=True):
+def estimate_fast_unblocked(ranks, labels):
     """Whole-matrix oracle: each class but the last gathers its running
     count at the run ends through one flat index; the last takes the rest."""
     n = ranks.n
@@ -277,8 +266,6 @@ def estimate_fast_unblocked(ranks, labels, include_diagonal=True):
         np.divide(inside, labels.counts[r], out=diff)
         diff -= f_all
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
-        if not include_diagonal:
-            sums[r] -= float(diff[:, 0] @ diff[:, 0])
     per_class = labels.proportions * sums / (n * n)
     return MddEstimate(
         value=float(per_class.sum()),
@@ -293,13 +280,10 @@ def assert_blocked_matches_unblocked(d, labels):
     expected = build_ranks_unblocked(d)
     assert np.array_equal(ranks.order, expected.order)
     assert np.array_equal(ranks.sorted_counts, expected.sorted_counts)
-    for include in (True, False):
-        assert estimate_fast(ranks, labels, include) == estimate_fast_unblocked(
-            ranks, labels, include
-        ), (d.n, labels.num_classes, include)
-    n = d.n
-    for cap in (n, n - 1):
-        assert np.array_equal(_ball_counts(ranks, cap), ball_counts_loop(ranks, cap))
+    assert estimate_fast(ranks, labels) == estimate_fast_unblocked(ranks, labels), (
+        d.n, labels.num_classes,
+    )
+    assert np.array_equal(_ball_counts(ranks), ball_counts_loop(ranks))
 
 
 # 200-entry blocks: n = 2..13 is one block, 17..41 ends in a ragged block, 70 is 35 of 2 rows
@@ -372,23 +356,6 @@ def test_engines_match_exact_reference_on_small_instances():
         for r in range(R):
             assert abs(naive.per_class[r] - float(per_class[r])) <= 1e-12
             assert abs(fast.per_class[r] - float(per_class[r])) <= 1e-12
-
-
-def test_engines_match_without_diagonal():
-    rng = np.random.default_rng(11)
-    for trial in range(8):
-        n = int(rng.integers(3, 8))
-        d = random_distances(rng, n, ties=(trial % 2 == 0))
-        labels = random_labels(rng, n, 2)
-        value, _ = exact_statistic(
-            d.values, labels.codes.tolist(), 2, include_diagonal=False
-        )
-        naive = estimate_naive(d, labels, include_diagonal=False)
-        fast = estimate_fast(build_ranks(d), labels, include_diagonal=False)
-        assert abs(naive.value - float(value)) <= 1e-12
-        assert abs(fast.value - float(value)) <= 1e-12
-        # dropping the diagonal can only remove mass
-        assert fast.value <= estimate_fast(build_ranks(d), labels).value + 1e-15
 
 
 def test_fast_matches_naive_on_larger_random_instances():

@@ -119,8 +119,10 @@ EDGE_FILES = {
     "bom_header": ("\ufeffa,b\n1,2\n", [[1.0, 2.0]]),
     "bom_quoted": ('\ufeff"1",2\n3,4\n', [[1.0, 2.0], [3.0, 4.0]]),
     "ragged": ("1,2\n3\n", "{path}: row 2 has 1 fields, expected 2"),
-    "trailing_comma": ("1,2,\n3,4,\n", "{path}: row 1, column 3: '' is not a number"),
-    "bad_field": ("a,b\n1,2\n3,x\n", "{path}: row 2, column 2: 'x' is not a number"),
+    "trailing_comma": ("1,2,\n3,4,\n", "{path}: row 2, column 3: '' is not a number"),
+    "bad_field": ("a,b\n1,2\n3,x\n", "{path}: row 3, column 2: 'x' is not a number"),
+    "bad_after_blank": ("a,b\n\n1,2\n , \n3,x\n", "{path}: row 5, column 2: 'x' is not a number"),
+    "ragged_after_multiline_header": ('"a\nb",c\n1,2\n3\n', "{path}: row 4 has 1 fields, expected 2"),
     "info_separator": ("1,2\n3\x1c,4\n", "{path}: row 2, column 1: '3\\x1c' is not a number"),
     "nul": ("1,2\n3\x00,4\n", "{path}: row 2, column 1: '3\\x00' is not a number"),
     "long_field": (
@@ -130,7 +132,7 @@ EDGE_FILES = {
     "header_only": ("a,b\n", "{path} holds a header but no data rows"),
     "header_blank_tail": ("a,b\n\n , \n", "{path} holds a header but no data rows"),
     "hex": ("0x1,2\n", "{path} holds a header but no data rows"),
-    "double_header": ("a,b\nc,d\n1,2\n", "{path}: row 1, column 1: 'c' is not a number"),
+    "double_header": ("a,b\nc,d\n1,2\n", "{path}: row 2, column 1: 'c' is not a number"),
     "blank_only": ("\n \n,\n", "{path} holds no data rows"),
     "empty": ("", "{path} holds no data rows"),
 }

@@ -97,12 +97,12 @@ def test_permutation_rows_are_the_substream_permutations():
                 assert np.array_equal(row, _substream(seed, b).permutation(n))
 
 
-def exact_pvalue(d, labels, permutations, seed, include_diagonal=True):
+def exact_pvalue(d, labels, permutations, seed):
     """The add-one p-value with every statistic from the Fraction oracle."""
     r = labels.num_classes
-    observed = exact_statistic(d.values, labels.codes.tolist(), r, include_diagonal)[0]
+    observed = exact_statistic(d.values, labels.codes.tolist(), r)[0]
     hits = sum(
-        exact_statistic(d.values, labels.codes[p].tolist(), r, include_diagonal)[0] >= observed
+        exact_statistic(d.values, labels.codes[p].tolist(), r)[0] >= observed
         for p in draw_label_permutations(labels.n, permutations, seed)
     )
     return (1 + hits) / (permutations + 1)
@@ -121,19 +121,15 @@ def test_balanced_small_sample_pvalue_counts_exact_ties(seed):
     assert result.p_value == exact_pvalue(d, labels, 99, 1)
 
 
-@pytest.mark.parametrize("include_diagonal", (True, False))
-def test_tie_heavy_grid_pvalues_match_the_exact_oracle(include_diagonal):
+def test_tie_heavy_grid_pvalues_match_the_exact_oracle():
     for seed in range(10, 14):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(6, 12))
         r = int(rng.integers(2, 4))
         d = random_distances(rng, n, ties=True)
         labels = random_labels(rng, n, r)
-        result = permutation_test(
-            build_ranks(d), labels, permutations=29, seed=seed,
-            include_diagonal=include_diagonal,
-        )
-        assert result.p_value == exact_pvalue(d, labels, 29, seed, include_diagonal), seed
+        result = permutation_test(build_ranks(d), labels, permutations=29, seed=seed)
+        assert result.p_value == exact_pvalue(d, labels, 29, seed), seed
 
 
 @pytest.mark.parametrize("ties", [False, True])

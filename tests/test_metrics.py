@@ -239,6 +239,9 @@ def test_load_precomputed_rejections():
         load_precomputed(np.array([[1e-6, 1.0], [1.0, 0.0]]))
     with pytest.raises(NonFiniteEntry):
         load_precomputed(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    for empty in (np.empty((0, 0)), np.zeros((1, 1))):
+        with pytest.raises(TooFewSamples):
+            load_precomputed(empty)
 
 
 def test_unit_sphere_embedding():
@@ -248,8 +251,6 @@ def test_unit_sphere_embedding():
     assert embedded.descriptor == "coords"
     norms = np.linalg.norm(embedded.data, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
-    override = unit_sphere_embedding(PointSet.euclidean(rows), descriptor="s")
-    assert override.descriptor == "s"
     with pytest.raises(DegenerateShape):
         unit_sphere_embedding(PointSet.euclidean([[0.0, 0.0], [1.0, 0.0]]))
 

@@ -326,13 +326,6 @@ def test_generate_dispatch_and_seed_handling():
         other, _ = generate(spec, seed=38)
         assert not np.array_equal(points.data, other.data)
 
-    with pytest.raises(InvalidSpec):
-        generate(ScenarioSpec(scenario="sim2", column=3))
-    seeded = ScenarioSpec(scenario="sim2", column=3, R=2, n=24, seed=41)
-    a, _ = generate(seeded)
-    b, _ = generate(seeded, seed=41)
-    assert np.array_equal(a.data, b.data)
-
 
 def test_sim1_always_draws_the_null():
     forced, labels = generate(
