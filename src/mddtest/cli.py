@@ -107,17 +107,15 @@ def _cmd_test(args) -> int:
         f"MDD={result.statistic:.6g}, p={result.p_value:.6g}, "
         f"n={result.n}, R={result.num_classes}"
     )
-    if args.format == "json":
-        fileio.write_json(args.output, fileio.result_to_dict(result))
-    elif args.format == "csv":
-        fileio.write_csv(args.output, fileio.result_csv_rows(result))
-    else:
-        Path(args.output).write_text(
-            f"MDD={result.statistic!r} p={result.p_value!r} n={result.n} "
-            f"R={result.num_classes} permutations={result.permutations} "
-            f"seed={result.seed}\n",
-            encoding="utf-8",
-        )
+    fileio.write_output(
+        args.output,
+        args.format,
+        fileio.result_to_dict(result),
+        fileio.result_csv_rows(result),
+        f"MDD={result.statistic!r} p={result.p_value!r} n={result.n} "
+        f"R={result.num_classes} permutations={result.permutations} "
+        f"seed={result.seed}\n",
+    )
     return 0
 
 
@@ -147,14 +145,12 @@ def _cmd_simulate(args) -> int:
     if args.output is not None:
         fileio.check_output_path(args.output)
     report = run_grid(grid, threads=args.threads)
-    print(report.to_text())
+    text = report.to_text()
+    print(text)
     if args.output is not None:
-        if args.format == "json":
-            fileio.write_json(args.output, report.to_json_dict())
-        elif args.format == "csv":
-            fileio.write_csv(args.output, report.to_csv_rows())
-        else:
-            Path(args.output).write_text(report.to_text() + "\n", encoding="utf-8")
+        fileio.write_output(
+            args.output, args.format, report.to_json_dict(), report.to_csv_rows(), text + "\n"
+        )
     return 0
 
 
@@ -164,28 +160,20 @@ def _cmd_adjust(args) -> int:
         files = sorted(p for p in source.iterdir() if p.suffix == ".json")
         if not files:
             raise CsvFormatError(f"{source} holds no result JSON files")
-        names = []
-        pvals = []
-        for path in files:
-            names.append(path.name)
-            pvals.append(float(fileio.load_result_json(path)["p_value"]))
-        adjusted = bh_adjust(pvals)
+        pvals = [float(fileio.load_result_json(path)["p_value"]) for path in files]
         out_path = args.output or str(source / "adjusted.csv")
-        rows = [["file", "p_value", "bh_adjusted"]]
-        for name, p, adj in zip(names, pvals, adjusted):
-            rows.append([name, fileio.fmt_float(p), fileio.fmt_float(adj)])
-        fileio.write_csv(out_path, rows)
-        print(f"adjusted {len(pvals)} p-values -> {out_path}")
-        return 0
-    header_row, rows, values = fileio.read_column(source, args.column, args.header)
-    pvals = fileio.parse_floats(source, values, column=args.column)
-    adjusted = bh_adjust(pvals)
-    out_path = args.output or str(source.with_suffix(".adjusted.csv"))
-    out_rows = []
-    if header_row is not None:
-        out_rows.append(list(header_row) + ["bh_adjusted"])
-    for row, adj in zip(rows, adjusted):
-        out_rows.append(list(row) + [fileio.fmt_float(adj)])
+        out_rows = [["file", "p_value", "bh_adjusted"]] + [
+            [path.name, fileio.fmt_float(p), fileio.fmt_float(adj)]
+            for path, p, adj in zip(files, pvals, bh_adjust(pvals))
+        ]
+    else:
+        header_row, rows, values = fileio.read_column(source, args.column, args.header)
+        pvals = fileio.parse_floats(source, values, [line for line, _row in rows], args.column)
+        out_path = args.output or str(source.with_suffix(".adjusted.csv"))
+        out_rows = [] if header_row is None else [header_row + ["bh_adjusted"]]
+        out_rows += [
+            row + [fileio.fmt_float(adj)] for (_line, row), adj in zip(rows, bh_adjust(pvals))
+        ]
     fileio.write_csv(out_path, out_rows)
     print(f"adjusted {len(pvals)} p-values -> {out_path}")
     return 0

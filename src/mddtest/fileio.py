@@ -2,14 +2,16 @@
 
 CSV files are comma separated with ``.`` decimals, UTF-8 (BOM optional); an
 optional header row is detected by a non-numeric first row (for one
-column, by its first field).  Numeric CSVs are parsed by numpy's C
-reader, with a row reader for the files it refuses.  Result and grid
-files are checked against ``schemas/result.schema.json`` and
-``schemas/grid.schema.json``, the only copies of those formats.  Numbers
-are written in shortest round-trip decimal form, so a dump-then-load
-cycle reproduces every float bit for bit.  JSON output is rendered
-with sorted keys and fixed indentation, so identical inputs serialise
-byte-identically.
+column, by its first field).  One row source, :func:`_csv_rows`, skips
+blank rows and numbers the rest by their line in the file, which every
+CSV error names.  Numeric CSVs are parsed by numpy's C reader, with a
+row reader for the files it refuses.  Result and grid files are checked
+against ``schemas/result.schema.json`` and ``schemas/grid.schema.json``,
+the only copies of those formats; a result's CSV columns are the fields
+of :func:`result_to_dict`.  Numbers are written in shortest round-trip
+decimal form, so a dump-then-load cycle reproduces every float bit for
+bit.  JSON output is rendered with sorted keys and fixed indentation,
+so identical inputs serialise byte-identically.
 """
 
 from __future__ import annotations
@@ -40,26 +42,25 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_rows(path) -> Iterator[tuple[int, list[str]]]:
-    """Yield the rows of a CSV file lazily, skipping blank ones, each with
-    the 1-based line of the file it starts on."""
+@contextlib.contextmanager
+def _open_csv(path) -> Iterator:
+    """``path`` open for :func:`_csv_rows`; any failure to read it is a :class:`CsvFormatError`."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            line = 1
-            for row in reader:
-                if any(f.strip() for f in row):
-                    yield line, row
-                line = reader.line_num + 1
+            yield fh
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def read_csv_rows(path) -> list[list[str]]:
-    rows = [row for _line, row in _csv_rows(path)]
-    if not rows:
-        raise CsvFormatError(f"{path} holds no data rows")
-    return rows
+def _csv_rows(fh) -> Iterator[tuple[int, list[str]]]:
+    """Yield the rows of an open CSV file lazily, skipping blank ones, each
+    with the 1-based line of the file it starts on."""
+    reader = csv.reader(fh)
+    line = 1
+    for row in reader:
+        if any(f.strip() for f in row):
+            yield line, row
+        line = reader.line_num + 1
 
 
 def _is_number(text: str | None) -> bool:
@@ -71,17 +72,16 @@ def _is_number(text: str | None) -> bool:
 
 
 def parse_floats(
-    path, fields: list[str], row: int | None = None, column: int | None = None
+    path, fields: list[str], lines: int | list[int], column: int | None = None
 ) -> np.ndarray:
-    """Parse a row (``row`` given) or a column (``column`` given) of fields as float64.
-
-    The error names the first bad field by its 1-based row and column.
-    """
+    """Parse a row (``lines`` its file line) or the 0-based ``column``
+    (``lines`` each field's file line) as float64; an error names the
+    first bad field by its file line and 1-based column."""
     try:
         return np.array(fields, dtype=np.float64)
     except ValueError:
         k = next(k for k, text in enumerate(fields) if not _is_number(text))
-        i, j = (row, k + 1) if column is None else (k + 1, column + 1)
+        i, j = (lines, k + 1) if column is None else (lines[k], column + 1)
         raise CsvFormatError(
             f"{path}: row {i}, column {j}: {fields[k]!r} is not a number"
         ) from None
@@ -93,30 +93,33 @@ def _read_numeric_rows(path) -> np.ndarray:
     by its line in the file and its column.  Rows are parsed as they are
     read, so the text of the file is never held whole.
     """
-    rows = _csv_rows(path)
-    line, first = next(rows, (0, None))
-    if first is None:
-        raise CsvFormatError(f"{path} holds no data rows")
-    if not all(_is_number(field) for field in first):
+    with _open_csv(path) as fh:
+        rows = _csv_rows(fh)
         line, first = next(rows, (0, None))
         if first is None:
-            raise CsvFormatError(f"{path} holds a header but no data rows")
-    width = len(first)
-    out = []
-    for line, row in itertools.chain([(line, first)], rows):
-        if len(row) != width:
-            raise CsvFormatError(f"{path}: row {line} has {len(row)} fields, expected {width}")
-        out.append(parse_floats(path, row, row=line))
+            raise CsvFormatError(f"{path} holds no data rows")
+        if not all(_is_number(field) for field in first):
+            line, first = next(rows, (0, None))
+            if first is None:
+                raise CsvFormatError(f"{path} holds a header but no data rows")
+        width = len(first)
+        out = []
+        for line, row in itertools.chain([(line, first)], rows):
+            if len(row) != width:
+                raise CsvFormatError(f"{path}: row {line} has {len(row)} fields, expected {width}")
+            out.append(parse_floats(path, row, line))
     return np.array(out)
 
 
 def _plain_lines(lines) -> Iterator[str]:
     """``lines``, refusing those that loadtxt would read and the row reader
-    not: longer than a ``csv`` field may be, or holding ``\\x1c``-``\\x1f``,
+    not: with a field over the ``csv`` limit, or holding ``\\x1c``-``\\x1f``,
     which loadtxt strips around a number and ``float`` does not."""
     limit = csv.field_size_limit()
     for line in lines:
-        if len(line) > limit or any(c in line for c in "\x1c\x1d\x1e\x1f"):
+        if any(c in line for c in "\x1c\x1d\x1e\x1f") or (
+            len(line) > limit and max(map(len, line.split(","))) > limit
+        ):
             raise ValueError("left to the row reader")
         yield line
 
@@ -134,8 +137,7 @@ def load_numeric_csv(path) -> np.ndarray:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt's "no data" warning
-            rows = (row for row in csv.reader(fh) if any(field.strip() for field in row))
-            first = next(rows, None)
+            _line, first = next(_csv_rows(fh), (0, None))
             if first is not None and all(_is_number(field) for field in first):
                 fh.seek(0)
             return np.loadtxt(_plain_lines(fh), delimiter=",", comments=None, ndmin=2)
@@ -145,31 +147,35 @@ def load_numeric_csv(path) -> np.ndarray:
 
 def read_column(
     path, column: int, header: str = "auto"
-) -> tuple[list[str] | None, list[list[str]], list[str]]:
-    """One column of a CSV: the header row or None, the data rows, and
-    the column's stripped values.
+) -> tuple[list[str] | None, list[tuple[int, list[str]]], list[str]]:
+    """One column of a CSV: the header row or None, the data rows with
+    their file lines as :func:`_csv_rows` yields them, and the stripped values.
 
     ``header`` is ``"yes"``, ``"no"`` or ``"auto"``: the first row is a
     header when its field in the column is missing or not a number and
     at least one later field is a number.
     """
-    rows = read_csv_rows(path)
-    width = max(len(row) for row in rows)
+    with _open_csv(path) as fh:
+        rows = list(_csv_rows(fh))
+    if not rows:
+        raise CsvFormatError(f"{path} holds no data rows")
+    width = max(len(row) for _line, row in rows)
     if not 0 <= column < width:
         raise CsvFormatError(f"{path}: column {column} outside 0..{width - 1}")
-    values = [row[column].strip() if column < len(row) else None for row in rows]
+    values = [row[column].strip() if column < len(row) else None for _line, row in rows]
     if header == "yes" or (
         header == "auto"
         and not _is_number(values[0])
         and any(_is_number(v) for v in values[1:])
     ):
-        head, rows, values = rows[0], rows[1:], values[1:]
+        head, rows, values = rows[0][1], rows[1:], values[1:]
     else:
         head = None
     if not rows:
         raise CsvFormatError(f"{path} holds no data rows")
     if None in values:
-        raise CsvFormatError(f"{path}: row {values.index(None) + 1} has no column {column}")
+        line = rows[values.index(None)][0]
+        raise CsvFormatError(f"{path}: row {line} has no column {column}")
     return head, rows, values
 
 
@@ -197,6 +203,16 @@ def write_csv(path, rows: list[list[str]]) -> None:
         csv.writer(fh).writerows(rows)
 
 
+def write_output(path, fmt: str, obj: dict, rows: list[list[str]], text: str) -> None:
+    """Write ``obj`` as JSON, ``rows`` as CSV or ``text`` to ``path``, as ``--format`` says."""
+    if fmt == "json":
+        write_json(path, obj)
+    elif fmt == "csv":
+        write_csv(path, rows)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
 def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -206,7 +222,7 @@ def write_json(path, obj) -> None:
 
 
 def result_to_dict(result: TestResult) -> dict:
-    out = {
+    return {
         "schema_version": RESULT_SCHEMA_VERSION,
         "statistic": result.statistic,
         "scaled": result.scaled,
@@ -218,7 +234,6 @@ def result_to_dict(result: TestResult) -> dict:
         "method": result.method,
         "per_class": list(result.per_class) if result.per_class is not None else None,
     }
-    return out
 
 
 def load_schema(name: str) -> dict:
@@ -317,31 +332,16 @@ def load_result_json(path) -> dict:
 
 
 def result_csv_rows(result: TestResult) -> list[list[str]]:
-    header = [
-        "statistic",
-        "scaled",
-        "n",
-        "R",
-        "p_value",
-        "permutations",
-        "seed",
-        "method",
+    """The fields of :func:`result_to_dict` as a header and one row, without
+    ``schema_version`` and with ``per_class`` spread over ``per_class_r``."""
+    fields = result_to_dict(result)
+    del fields["schema_version"]
+    per_class = fields.pop("per_class") or ()
+    fields.update((f"per_class_{r}", value) for r, value in enumerate(per_class))
+    return [
+        list(fields),
+        [fmt_float(v) if isinstance(v, float) else str(v) for v in fields.values()],
     ]
-    row = [
-        fmt_float(result.statistic),
-        fmt_float(result.scaled),
-        str(result.n),
-        str(result.num_classes),
-        fmt_float(result.p_value),
-        str(result.permutations),
-        str(result.seed),
-        result.method,
-    ]
-    if result.per_class is not None:
-        for r, value in enumerate(result.per_class):
-            header.append(f"per_class_{r}")
-            row.append(fmt_float(value))
-    return [header, row]
 
 
 def validate_grid_dict(obj) -> None:
@@ -367,17 +367,13 @@ def grid_from_dict(obj) -> ExperimentGrid:
         except MddError as exc:
             raise GridConfigError(f"/cells/{index}: {exc}") from exc
         cells.append(GridCell(spec=spec, reps=cell.get("reps")))
+    settings = {key: value for key, value in obj.items() if key != "cells"}
+    if "alpha" in settings:
+        settings["alpha"] = float(settings["alpha"])
+    if "tests" in settings:
+        settings["tests"] = tuple(settings["tests"])
     try:
-        return ExperimentGrid(
-            cells=tuple(cells),
-            reps=obj["reps"],
-            permutations=obj["permutations"],
-            alpha=float(obj.get("alpha", 0.05)),
-            tests=tuple(obj.get("tests", ["mdd"])),
-            seed=obj["seed"],
-            sphere_metric=obj.get("sphere_metric", "euclidean"),
-            name=obj.get("name", ""),
-        )
+        return ExperimentGrid(cells=tuple(cells), **settings)
     except MddError as exc:
         raise GridConfigError(f"/: {exc}") from exc
 

@@ -130,19 +130,6 @@ def _draw_labels(rng: np.random.Generator, R: int, n: int) -> LabelVector:
     )
 
 
-def gen_labels(R: int, n: int, seed: int) -> LabelVector:
-    """Draw iid labels with the standard unbalanced proportions.
-
-    The whole vector is redrawn until every class appears, so the
-    inferred class count always equals ``R``.
-    """
-    if R < 1:
-        raise InvalidR(f"the class count must be >= 1, got {R}")
-    if n < 2 * R:
-        raise InvalidSpec(f"need n >= 2R, got n={n}, R={R}")
-    return _draw_labels(_substream(seed, 1), R, n)
-
-
 def _noise_draws(rng: np.random.Generator, kind: str, size) -> np.ndarray:
     if kind == "none":
         return np.zeros(size)

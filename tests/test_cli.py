@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,12 +8,17 @@ from conftest import run_python
 
 from mddtest import InvalidLabels, LabelVector, cli
 from mddtest.cli import main
-from mddtest.fileio import read_csv_rows, validate_result_dict
+from mddtest.fileio import validate_result_dict
 
 
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def read_csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.fixture
@@ -301,6 +307,143 @@ def test_simulate_csv_and_text_outputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+PINNED_TEST_OUTPUT = {
+    "json": """{
+  "R": 2,
+  "method": "permutation",
+  "n": 6,
+  "p_value": 0.65,
+  "per_class": [
+    0.013503086419753087,
+    0.01350308641975309
+  ],
+  "permutations": 19,
+  "scaled": 0.16203703703703703,
+  "schema_version": 1,
+  "seed": 4,
+  "statistic": 0.027006172839506175
+}
+""",
+    "csv": (
+        "statistic,scaled,n,R,p_value,permutations,seed,method,per_class_0,per_class_1\r\n"
+        "0.027006172839506175,0.16203703703703703,6,2,0.65,19,4,permutation,"
+        "0.013503086419753087,0.01350308641975309\r\n"
+    ),
+    "text": "MDD=0.027006172839506175 p=0.65 n=6 R=2 permutations=19 seed=4\n",
+}
+
+PINNED_GRID = {
+    "seed": 5, "reps": 3, "permutations": 39, "alpha": 0.1, "tests": ["mdd", "dcov"],
+    "cells": [{"scenario": "sim2", "column": 3, "R": 2, "n": 30, "dim": 2},
+              {"scenario": "sim4", "R": 2, "n": 12, "landmarks": 4, "corr": 0.5}],
+}
+
+PINNED_SIMULATE_OUTPUT = {
+    "json": """{
+  "cells": [
+    {
+      "reps": 3,
+      "spec": {
+        "R": 2,
+        "column": 3,
+        "corr": 0.0,
+        "dim": 2,
+        "landmarks": 50,
+        "n": 30,
+        "null": false,
+        "scenario": "sim2"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 0.3333333333333333,
+          "rejections": 1
+        },
+        "mdd": {
+          "frequency": 0.3333333333333333,
+          "rejections": 1
+        }
+      }
+    },
+    {
+      "reps": 3,
+      "spec": {
+        "R": 2,
+        "column": 3,
+        "corr": 0.5,
+        "dim": 3,
+        "landmarks": 4,
+        "n": 12,
+        "null": false,
+        "scenario": "sim4"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 1.0,
+          "rejections": 3
+        },
+        "mdd": {
+          "frequency": 1.0,
+          "rejections": 3
+        }
+      }
+    }
+  ],
+  "config": {
+    "alpha": 0.1,
+    "name": "",
+    "p_value": "add-one permutation",
+    "permutations": 39,
+    "reps": 3,
+    "seed": 5,
+    "sphere_metric": "euclidean",
+    "tests": [
+      "mdd",
+      "dcov"
+    ],
+    "y_encoding": "discrete 0/1 metric on class codes"
+  }
+}
+""",
+    "csv": (
+        "scenario,column,R,n,dim,landmarks,corr,null,reps,"
+        "mdd_rejections,mdd_frequency,dcov_rejections,dcov_frequency\r\n"
+        "sim2,3,2,30,2,50,0.0,false,3,1,0.3333333333333333,1,0.3333333333333333\r\n"
+        "sim4,3,2,12,3,4,0.5,false,3,3,1.0,3,1.0\r\n"
+    ),
+    # without its "elapsed:" line, the one part of a report that is not reproducible
+    "text": "".join(line + "\n" for line in (
+        "scenario  col  R  n   dim/L  corr  null  reps  mdd            dcov         ",
+        "--------  ---  -  --  -----  ----  ----  ----  -------------  -------------",
+        "sim2      3    2  30  2      -     no    3     0.333 (0.272)  0.333 (0.272)",
+        "sim4      -    2  12  4      0.5   no    3     1.000 (0.000)  1.000 (0.000)",
+        "",
+        "rejection frequency (Monte Carlo standard error sqrt(f(1-f)/reps))",
+        "alpha=0.1  permutations=39  seed=5  sphere_metric=euclidean  "
+        "y_encoding=discrete 0/1 metric on class codes",
+    )),
+}
+
+
+def test_every_output_format_keeps_its_bytes(tmp_path, capsys):
+    points = write(tmp_path / "p.csv", "0\n1\n2\n9\n10\n12\n")
+    labels = write(tmp_path / "l.csv", "a\na\nb\nb\na\nb\n")
+    grid = write(tmp_path / "grid.json", json.dumps(PINNED_GRID))
+    for fmt, expected in PINNED_TEST_OUTPUT.items():
+        out = tmp_path / f"result.{fmt}"
+        assert main([
+            "test", "--points", points, "--labels", labels, "--permutations", "19",
+            "--seed", "4", "--output", str(out), "--format", fmt,
+        ]) == 0
+        assert out.read_bytes() == expected.encode(), fmt
+    for fmt, expected in PINNED_SIMULATE_OUTPUT.items():
+        out = tmp_path / f"report.{fmt}"
+        assert main(["simulate", "--grid", grid, "--output", str(out), "--format", fmt]) == 0
+        lines = out.read_bytes().decode().splitlines(keepends=True)
+        got = "".join(line for line in lines if not line.startswith("elapsed: "))
+        assert got == expected, fmt
+    capsys.readouterr()
+
+
 def test_simulate_preset_listing_and_reduced_run(tmp_path, capsys):
     rc = main(["simulate", "--list-presets"])
     assert rc == 0
@@ -484,6 +627,11 @@ def test_adjust_error_exits(tmp_path, capsys):
     assert main(["adjust", "--input", bad]) == 2
     text = write(tmp_path / "text.csv", "0.5\nx\n")
     assert main(["adjust", "--input", text]) == 2
+    # a bad p-value is named by its line in the file, blank lines counted
+    gap = write(tmp_path / "gap.csv", "p\n0.1\n\n0.2\nx\n")
+    capsys.readouterr()
+    assert main(["adjust", "--input", gap]) == 2
+    assert capsys.readouterr().err == f"error: {gap}: row 5, column 1: 'x' is not a number\n"
     assert main(["adjust", "--input", str(tmp_path / "none.csv")]) == 2
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -30,7 +30,6 @@ from mddtest.fileio import (
     load_schema,
     preset_names,
     read_column,
-    read_csv_rows,
     result_csv_rows,
     result_to_dict,
     validate_result_dict,
@@ -154,6 +153,16 @@ def test_load_numeric_csv_edge_files_keep_the_row_reader_results(tmp_path, name)
     assert caught == []
 
 
+def test_wide_rows_of_short_fields_stay_on_the_numpy_reader(tmp_path):
+    # each row is longer than a csv field may be, but no field is
+    values = np.random.default_rng(4).standard_normal((2, 7000))
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    assert path.stat().st_size > 2 * 131072
+    with mock.patch.object(fileio, "_read_numeric_rows", side_effect=AssertionError):
+        assert load_numeric_csv(path).tobytes() == values.tobytes()
+
+
 def test_load_numeric_csv_reads_a_pipe_once(tmp_path):
     fifo = tmp_path / "m.csv"
     os.mkfifo(fifo)
@@ -191,6 +200,10 @@ def test_load_labels_csv_modes(tmp_path):
     path.write_text("a,b\n1\n", encoding="utf-8")
     with pytest.raises(CsvFormatError, match="row 2 has no column 1"):
         load_labels_csv(path, column=1, header="no")
+    # rows are named by their line in the file, blank lines counted
+    path.write_text("x,y\n\n1,2\n3\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="row 4 has no column 1"):
+        load_labels_csv(path, column=1)
 
 
 def test_load_labels_csv_skips_a_byte_order_mark(tmp_path):
@@ -204,7 +217,7 @@ def test_load_labels_csv_skips_a_byte_order_mark(tmp_path):
 def test_write_csv_and_read_back(tmp_path):
     path = tmp_path / "rows.csv"
     write_csv(path, [["a", "b"], ["1", "2"]])
-    assert read_csv_rows(path) == [["a", "b"], ["1", "2"]]
+    assert path.read_bytes() == b"a,b\r\n1,2\r\n"
 
 
 def test_dump_json_is_deterministic():
@@ -321,8 +334,12 @@ def test_schema_walk_rejects_unknown_keywords_and_ambiguous_forms():
 def test_read_column_header_rule_and_range(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("id\n a ,0.5\nb,0.25\n", encoding="utf-8")
-    assert read_column(path, 1) == (["id"], [[" a ", "0.5"], ["b", "0.25"]], ["0.5", "0.25"])
-    assert read_column(path, 0) == (None, [["id"], [" a ", "0.5"], ["b", "0.25"]], ["id", "a", "b"])
+    assert read_column(path, 1) == (
+        ["id"], [(2, [" a ", "0.5"]), (3, ["b", "0.25"])], ["0.5", "0.25"]
+    )
+    assert read_column(path, 0) == (
+        None, [(1, ["id"]), (2, [" a ", "0.5"]), (3, ["b", "0.25"])], ["id", "a", "b"]
+    )
     with pytest.raises(CsvFormatError, match="row 1 has no column 1"):
         read_column(path, 1, header="no")
     for column in (-1, 2):

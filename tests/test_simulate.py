@@ -9,7 +9,6 @@ from mddtest import (
     ScenarioSpec,
     gen_ellipse_shapes,
     gen_gaussian,
-    gen_labels,
     gen_sphere_coords,
     gen_vmf,
     generate,
@@ -41,18 +40,19 @@ def test_label_proportions_closed_form():
         label_proportions(0)
 
 
-def test_gen_labels_frequencies_and_determinism():
-    labels = gen_labels(3, 100_000, seed=5)
+def test_generated_labels_frequencies_and_determinism():
+    def draw(R, n, seed):
+        return generate(ScenarioSpec(scenario="sim1", R=R, n=n, dim=2), seed=seed)[1]
+
+    labels = draw(3, 100_000, seed=5)
     freq = labels.counts / labels.n
     assert np.abs(freq - label_proportions(3)).max() <= 0.01
-    assert np.array_equal(labels.codes, gen_labels(3, 100_000, seed=5).codes)
-    assert not np.array_equal(
-        gen_labels(3, 1000, seed=1).codes, gen_labels(3, 1000, seed=2).codes
-    )
+    assert np.array_equal(labels.codes, draw(3, 100_000, seed=5).codes)
+    assert not np.array_equal(draw(3, 1000, seed=1).codes, draw(3, 1000, seed=2).codes)
     with pytest.raises(InvalidR):
-        gen_labels(0, 10, seed=1)
+        draw(0, 10, seed=1)
     with pytest.raises(InvalidSpec):
-        gen_labels(4, 7, seed=1)
+        draw(4, 7, seed=1)
 
 
 def test_independence_cells_are_uniform():
