@@ -77,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_test(args) -> int:
     check_permutation_settings(args.permutations, args.seed)
+    fileio.check_output_path(args.output)
     raw_labels = fileio.load_labels_csv(
         args.labels, column=args.label_column, header=args.label_header
     )

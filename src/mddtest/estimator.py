@@ -106,11 +106,8 @@ class LabelVector:
         rejected rather than silently padded.
         """
         arr = np.asarray(codes)
-        if arr.size == 0:
-            raise InvalidLabels("labels must form a non-empty 1-d vector")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidLabels("label codes must be integers")
-        inferred = int(arr.max()) + 1 if arr.size else 0
+        # R = 0 leaves an empty or non-integer vector to __post_init__'s checks
+        inferred = int(arr.max()) + 1 if arr.size and np.issubdtype(arr.dtype, np.integer) else 0
         return cls(arr, inferred if num_classes is None else num_classes)
 
     @classmethod

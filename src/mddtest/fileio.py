@@ -231,8 +231,8 @@ def result_to_dict(result: TestResult) -> dict:
         "p_value": result.p_value,
         "permutations": result.permutations,
         "seed": result.seed,
-        "method": result.method,
-        "per_class": list(result.per_class) if result.per_class is not None else None,
+        "method": "permutation",
+        "per_class": list(result.per_class),
     }
 
 
@@ -336,7 +336,7 @@ def result_csv_rows(result: TestResult) -> list[list[str]]:
     ``schema_version`` and with ``per_class`` spread over ``per_class_r``."""
     fields = result_to_dict(result)
     del fields["schema_version"]
-    per_class = fields.pop("per_class") or ()
+    per_class = fields.pop("per_class")
     fields.update((f"per_class_{r}", value) for r, value in enumerate(per_class))
     return [
         list(fields),
@@ -378,10 +378,6 @@ def grid_from_dict(obj) -> ExperimentGrid:
         raise GridConfigError(f"/: {exc}") from exc
 
 
-def load_grid_json(path) -> ExperimentGrid:
-    return grid_from_dict(read_json(path))
-
-
 def preset_names() -> list[str]:
     root = resources.files("mddtest").joinpath("presets")
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
@@ -396,7 +392,3 @@ def read_preset(name: str) -> dict:
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
     return json.loads(candidate.read_text("utf-8"))
-
-
-def load_preset(name: str) -> ExperimentGrid:
-    return grid_from_dict(read_preset(name))

@@ -27,7 +27,7 @@ from .metrics import (
     sphere_distances,
     unit_sphere_embedding,
 )
-from .simulate import ScenarioSpec, generate
+from .simulate import ScenarioSpec, draws_null, generate
 
 KNOWN_TESTS = tuple(NULL_KEYS)
 SPHERE_METRICS = ("euclidean", "geodesic")
@@ -90,22 +90,17 @@ class ExperimentGrid:
 
 
 def distances_for(points: PointSet, sphere_metric: str = "euclidean") -> DistanceMatrix:
-    """Metric dispatch used by the harness.
+    """The distances of a point set under its own metric.
 
-    Shapes always use the shape metric.  Unit-sphere rows and raw
-    coordinate tuples use plain Euclidean distance unless
-    ``sphere_metric == "geodesic"``, in which case rows are (projected
-    onto and) measured along the sphere.
+    Shapes always use the shape metric.  Unit-sphere rows are measured
+    along the sphere when ``sphere_metric == "geodesic"``; every other
+    point set gets Euclidean distances.
     """
     if points.kind == "shape":
         return shape_distances(points)
-    if points.kind == "sphere":
-        if sphere_metric == "geodesic":
-            return sphere_distances(points)
-        return euclidean_distances(PointSet.euclidean(points.data, points.descriptor))
-    if sphere_metric == "geodesic" and points.descriptor.startswith("sphere-coords"):
-        return sphere_distances(unit_sphere_embedding(points))
-    return euclidean_distances(points)
+    if points.kind == "sphere" and sphere_metric == "geodesic":
+        return sphere_distances(points)
+    return euclidean_distances(PointSet.euclidean(points.data))
 
 
 def _cell_seeds(master_seed: int, cell_index: int, rep: int) -> tuple[int, int]:
@@ -116,9 +111,12 @@ def _cell_seeds(master_seed: int, cell_index: int, rep: int) -> tuple[int, int]:
 
 def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> tuple[int, int, dict[str, float]]:
     grid, cell_index, rep = args
-    cell = grid.cells[cell_index]
+    spec = grid.cells[cell_index].spec
     data_seed, perm_seed = _cell_seeds(grid.seed, cell_index, rep)
-    points, labels = generate(cell.spec, seed=data_seed)
+    points, labels = generate(spec, seed=data_seed)
+    # under the geodesic metric, coordinate tuples are directions on the sphere
+    if grid.sphere_metric == "geodesic" and spec.scenario != "sim4" and spec.column == 1:
+        points = unit_sphere_embedding(points)
     d = distances_for(points, grid.sphere_metric)
     pvals = _null_pvalues(d, labels, grid.tests, grid.permutations, perm_seed)
     return cell_index, rep, pvals
@@ -159,10 +157,7 @@ class TableReport:
                 k: v for k, v in asdict(cell.spec).items() if v is not None
             }
             tests = {
-                t: {
-                    "rejections": cell.rejections[t],
-                    "frequency": cell.rejections[t] / cell.reps,
-                }
+                t: {"rejections": cell.rejections[t], "frequency": cell.frequency(t)}
                 for t in sorted(cell.rejections)
             }
             cells.append({"spec": spec_dict, "reps": cell.reps, "tests": tests})
@@ -170,30 +165,24 @@ class TableReport:
 
     def to_text(self) -> str:
         tests = list(self.config["tests"])
-        header = ["scenario", "col", "R", "n", "dim/L", "corr", "null", "reps"]
-        header += tests
-        rows = [header]
+        rows = [["scenario", "col", "R", "n", "dim/L", "corr", "null", "reps", *tests]]
         for cell in self.cells:
             spec = cell.spec
-            size = spec.landmarks if spec.scenario == "sim4" else spec.dim
-            row = [
+            shape = spec.scenario == "sim4"
+            rows.append([
                 spec.scenario,
-                "-" if spec.scenario == "sim4" else str(spec.column),
+                "-" if shape else str(spec.column),
                 str(spec.R),
                 str(spec.n),
-                str(size),
-                f"{spec.corr:g}" if spec.scenario == "sim4" else "-",
-                "yes" if (spec.null or spec.scenario == "sim1") else "no",
+                str(spec.landmarks if shape else spec.dim),
+                f"{spec.corr:g}" if shape else "-",
+                "yes" if draws_null(spec) else "no",
                 str(cell.reps),
-            ]
-            row += [f"{cell.frequency(t):.3f} ({cell.standard_error(t):.3f})" for t in tests]
-            rows.append(row)
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-        lines = []
-        for idx, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-            if idx == 0:
-                lines.append("  ".join("-" * w for w in widths))
+                *(f"{cell.frequency(t):.3f} ({cell.standard_error(t):.3f})" for t in tests),
+            ])
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        rows.insert(1, ["-" * w for w in widths])
+        lines = ["  ".join(text.ljust(w) for text, w in zip(row, widths)) for row in rows]
         lines.append("")
         lines.append("rejection frequency (Monte Carlo standard error sqrt(f(1-f)/reps))")
         cfg = self.config
@@ -208,23 +197,11 @@ class TableReport:
 
     def to_csv_rows(self) -> list[list[str]]:
         tests = list(self.config["tests"])
-        header = [
-            "scenario",
-            "column",
-            "R",
-            "n",
-            "dim",
-            "landmarks",
-            "corr",
-            "null",
-            "reps",
-        ]
-        for t in tests:
-            header += [f"{t}_rejections", f"{t}_frequency"]
-        rows = [header]
+        header = ["scenario", "column", "R", "n", "dim", "landmarks", "corr", "null", "reps"]
+        rows = [header + [f"{t}_{k}" for t in tests for k in ("rejections", "frequency")]]
         for cell in self.cells:
             spec = cell.spec
-            row = [
+            rows.append([
                 spec.scenario,
                 str(spec.column),
                 str(spec.R),
@@ -232,12 +209,10 @@ class TableReport:
                 str(spec.dim),
                 str(spec.landmarks),
                 repr(float(spec.corr)),
-                str(bool(spec.null or spec.scenario == "sim1")).lower(),
+                str(draws_null(spec)).lower(),
                 str(cell.reps),
-            ]
-            for t in tests:
-                row += [str(cell.rejections[t]), repr(cell.frequency(t))]
-            rows.append(row)
+                *(v for t in tests for v in (str(cell.rejections[t]), repr(cell.frequency(t)))),
+            ])
         return rows
 
 

@@ -54,7 +54,7 @@ class TestResult:
 
     ``scaled`` is ``n * statistic``, the quantity with a nondegenerate
     null limit.  ``per_class`` is the per-class decomposition of the
-    observed statistic (None for statistics that do not decompose).
+    observed statistic.
     """
 
     statistic: float
@@ -64,8 +64,7 @@ class TestResult:
     seed: int
     n: int
     num_classes: int
-    method: str = "permutation"
-    per_class: tuple[float, ...] | None = None
+    per_class: tuple[float, ...]
 
 
 def _substream(seed: int, stream: int) -> np.random.Generator:

@@ -50,14 +50,11 @@ class PointSet:
     """A homogeneous sample of points in one of the supported spaces.
 
     ``data`` is ``(n, p)`` for euclidean and sphere points and
-    ``(n, L, 2)`` for planar landmark configurations.  ``descriptor``
-    is free text carried along for reporting (for example which
-    generator produced the sample).
+    ``(n, L, 2)`` for planar landmark configurations.
     """
 
     kind: str
     data: np.ndarray
-    descriptor: str = ""
 
     def __post_init__(self) -> None:
         if self.kind not in POINT_KINDS:
@@ -99,16 +96,16 @@ class PointSet:
         return self.data.shape[0]
 
     @classmethod
-    def euclidean(cls, rows, descriptor: str = "") -> "PointSet":
-        return cls("euclidean", np.asarray(rows, dtype=np.float64), descriptor)
+    def euclidean(cls, rows) -> "PointSet":
+        return cls("euclidean", np.asarray(rows, dtype=np.float64))
 
     @classmethod
-    def sphere(cls, rows, descriptor: str = "") -> "PointSet":
-        return cls("sphere", np.asarray(rows, dtype=np.float64), descriptor)
+    def sphere(cls, rows) -> "PointSet":
+        return cls("sphere", np.asarray(rows, dtype=np.float64))
 
     @classmethod
-    def shape(cls, configurations, descriptor: str = "") -> "PointSet":
-        return cls("shape", np.asarray(configurations, dtype=np.float64), descriptor)
+    def shape(cls, configurations) -> "PointSet":
+        return cls("shape", np.asarray(configurations, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -187,16 +184,6 @@ def sphere_distances(points: PointSet) -> DistanceMatrix:
     return DistanceMatrix(out)
 
 
-def _preshapes(points: PointSet) -> np.ndarray:
-    """Centred, unit-norm complex landmark vectors, one row per configuration."""
-    z = points.data[:, :, 0] + 1j * points.data[:, :, 1]
-    z = z - z.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(z, axis=1)
-    if norms.min() < DEGENERATE_SHAPE_TOL:
-        raise DegenerateShape("a configuration collapses to its centroid; shape is undefined")
-    return z / norms[:, None]
-
-
 def shape_distances(points: PointSet) -> DistanceMatrix:
     """Riemannian shape distances between planar landmark configurations.
 
@@ -205,7 +192,9 @@ def shape_distances(points: PointSet) -> DistanceMatrix:
     translation, scale and rotation.  Entries lie in [0, pi/2].
     """
     _require_kind(points, "shape")
-    z = _preshapes(points)
+    z = points.data[:, :, 0] + 1j * points.data[:, :, 1]
+    z = z - z.mean(axis=1, keepdims=True)
+    z = z / np.linalg.norm(z, axis=1)[:, None]
     mag = np.abs(z @ z.conj().T)
     mag = (mag + mag.T) / 2.0
     np.clip(mag, 0.0, 1.0, out=mag)
@@ -260,4 +249,4 @@ def unit_sphere_embedding(points: PointSet) -> PointSet:
     norms = np.sqrt((points.data * points.data).sum(axis=1, keepdims=True))
     if norms.min() <= 0.0:
         raise DegenerateShape("cannot project a zero row onto the unit sphere")
-    return PointSet.sphere(points.data / norms, points.descriptor)
+    return PointSet.sphere(points.data / norms)

@@ -155,7 +155,7 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
     q = spec.dim - 2
     theta = rng.uniform(-np.pi, np.pi, size=n)
     phi = np.empty((n, q))
-    noise_kind = spec.noise
+    noise_kind = "t1" if spec.noise is None else spec.noise
     if spec.null:
         phi[:] = rng.uniform(-np.pi, np.pi, size=(n, q))
         eps = np.zeros(n)
@@ -168,8 +168,6 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
         narrow = rng.uniform(low, high, size=(n, q))
         in_class1 = labels.codes == 1
         phi[:] = np.where(in_class1[:, None], narrow, draws)
-        if noise_kind is None:
-            noise_kind = "t1"
         eps = np.where(in_class1, _noise_draws(rng, noise_kind, n), 0.0)
     else:
         lows = (-1.0 + 2.0 * np.arange(spec.R) / spec.R) * np.pi
@@ -178,12 +176,9 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
         lo = lows[labels.codes][:, None]
         hi = highs[labels.codes][:, None]
         phi[:] = lo + unit * (hi - lo)
-        if noise_kind is None:
-            noise_kind = "t1"
         eps = _noise_draws(rng, noise_kind, n)
     rows = np.column_stack([np.ones(n), theta, phi + eps[:, None]])
-    descriptor = f"sphere-coords({spec.scenario},R={spec.R},dim={spec.dim})"
-    return PointSet.euclidean(rows, descriptor), labels
+    return PointSet.euclidean(rows), labels
 
 
 def _vmf_envelope(kappa: float, m: int) -> tuple[float, float, float]:
@@ -284,8 +279,7 @@ def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
         for r in range(spec.R):
             idx = np.flatnonzero(labels.codes == r)
             rows[idx] = sample_vmf(rng, directions[r], kappa, idx.size)
-    descriptor = f"vmf({spec.scenario},R={spec.R},dim={spec.dim})"
-    return PointSet.sphere(rows, descriptor), labels
+    return PointSet.sphere(rows), labels
 
 
 def _gaussian_means(spec: ScenarioSpec) -> np.ndarray:
@@ -312,8 +306,7 @@ def gen_gaussian(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     labels = _draw_labels(rng, spec.R, spec.n)
     means = _gaussian_means(spec)
     rows = rng.standard_normal((spec.n, spec.dim)) + means[labels.codes][:, None]
-    descriptor = f"gaussian({spec.scenario},R={spec.R},dim={spec.dim})"
-    return PointSet.euclidean(rows, descriptor), labels
+    return PointSet.euclidean(rows), labels
 
 
 ELLIPSE_NOISE_SCALE = 1.0 / 25.0
@@ -345,13 +338,17 @@ def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVe
     configs = np.empty((spec.n, L, 2))
     configs[:, :, 0] = np.cos(t[None, :] + angle[:, None] / 2.0) + eps
     configs[:, :, 1] = np.cos(t[None, :] - angle[:, None] / 2.0) + eps
-    descriptor = f"ellipse-shapes(L={L},corr={corr})"
-    return PointSet.shape(configs, descriptor), labels
+    return PointSet.shape(configs), labels
+
+
+def draws_null(spec: ScenarioSpec) -> bool:
+    """Whether a cell draws independent data: sim1 always does."""
+    return bool(spec.null) or spec.scenario == "sim1"
 
 
 def generate(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     """Dispatch a spec to its generator."""
-    if spec.scenario == "sim1" and not spec.null:
+    if draws_null(spec):
         spec = replace(spec, null=True)
     if spec.scenario == "sim4":
         return gen_ellipse_shapes(spec, seed)

@@ -29,7 +29,7 @@ from mddtest import (
     shape_distances,
     sphere_distances,
 )
-from mddtest.fileio import dump_json, load_preset
+from mddtest.fileio import dump_json, grid_from_dict, read_preset
 from mddtest.metrics import DistanceMatrix
 from conftest import exact_statistic, random_distances, random_labels
 
@@ -226,7 +226,7 @@ def test_accept_09_statistic_respects_the_advertised_invariances():
 
 
 def test_accept_10_study_grids_reproduce_byte_identically():
-    full = load_preset("table1")
+    full = grid_from_dict(read_preset("table1"))
     reduced = replace(
         full,
         reps=1,

@@ -424,10 +424,210 @@ PINNED_SIMULATE_OUTPUT = {
 }
 
 
+# column-1 coordinate tuples are projected onto the sphere and vMF rows measured
+# along it; the seed is one where the euclidean metric changes the counts of the
+# first four cells
+GEODESIC_GRID = {
+    "seed": 9, "reps": 2, "permutations": 19, "alpha": 0.2, "tests": ["mdd", "dcov"],
+    "sphere_metric": "geodesic",
+    "cells": [
+        {"scenario": "sim2", "column": 1, "R": 2, "n": 16},
+        {"scenario": "sim3", "column": 1, "R": 2, "n": 16, "dim": 4},
+        {"scenario": "sim1", "column": 1, "R": 2, "n": 16},
+        {"scenario": "sim2", "column": 2, "R": 2, "n": 16},
+        {"scenario": "sim1", "column": 3, "R": 2, "n": 16},
+        {"scenario": "sim4", "R": 2, "n": 12, "landmarks": 4, "corr": 0.5},
+    ],
+}
+
+GEODESIC_SIMULATE_OUTPUT = {
+    "json": """{
+  "cells": [
+    {
+      "reps": 2,
+      "spec": {
+        "R": 2,
+        "column": 1,
+        "corr": 0.0,
+        "dim": 3,
+        "landmarks": 50,
+        "n": 16,
+        "null": false,
+        "scenario": "sim2"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 1.0,
+          "rejections": 2
+        },
+        "mdd": {
+          "frequency": 1.0,
+          "rejections": 2
+        }
+      }
+    },
+    {
+      "reps": 2,
+      "spec": {
+        "R": 2,
+        "column": 1,
+        "corr": 0.0,
+        "dim": 4,
+        "landmarks": 50,
+        "n": 16,
+        "null": false,
+        "scenario": "sim3"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 0.0,
+          "rejections": 0
+        },
+        "mdd": {
+          "frequency": 0.5,
+          "rejections": 1
+        }
+      }
+    },
+    {
+      "reps": 2,
+      "spec": {
+        "R": 2,
+        "column": 1,
+        "corr": 0.0,
+        "dim": 3,
+        "landmarks": 50,
+        "n": 16,
+        "null": false,
+        "scenario": "sim1"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 0.0,
+          "rejections": 0
+        },
+        "mdd": {
+          "frequency": 0.0,
+          "rejections": 0
+        }
+      }
+    },
+    {
+      "reps": 2,
+      "spec": {
+        "R": 2,
+        "column": 2,
+        "corr": 0.0,
+        "dim": 3,
+        "landmarks": 50,
+        "n": 16,
+        "null": false,
+        "scenario": "sim2"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 0.0,
+          "rejections": 0
+        },
+        "mdd": {
+          "frequency": 0.5,
+          "rejections": 1
+        }
+      }
+    },
+    {
+      "reps": 2,
+      "spec": {
+        "R": 2,
+        "column": 3,
+        "corr": 0.0,
+        "dim": 3,
+        "landmarks": 50,
+        "n": 16,
+        "null": false,
+        "scenario": "sim1"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 0.5,
+          "rejections": 1
+        },
+        "mdd": {
+          "frequency": 0.5,
+          "rejections": 1
+        }
+      }
+    },
+    {
+      "reps": 2,
+      "spec": {
+        "R": 2,
+        "column": 3,
+        "corr": 0.5,
+        "dim": 3,
+        "landmarks": 4,
+        "n": 12,
+        "null": false,
+        "scenario": "sim4"
+      },
+      "tests": {
+        "dcov": {
+          "frequency": 1.0,
+          "rejections": 2
+        },
+        "mdd": {
+          "frequency": 1.0,
+          "rejections": 2
+        }
+      }
+    }
+  ],
+  "config": {
+    "alpha": 0.2,
+    "name": "",
+    "p_value": "add-one permutation",
+    "permutations": 19,
+    "reps": 2,
+    "seed": 9,
+    "sphere_metric": "geodesic",
+    "tests": [
+      "mdd",
+      "dcov"
+    ],
+    "y_encoding": "discrete 0/1 metric on class codes"
+  }
+}
+""",
+    "csv": (
+        "scenario,column,R,n,dim,landmarks,corr,null,reps,"
+        "mdd_rejections,mdd_frequency,dcov_rejections,dcov_frequency\r\n"
+        "sim2,1,2,16,3,50,0.0,false,2,2,1.0,2,1.0\r\n"
+        "sim3,1,2,16,4,50,0.0,false,2,1,0.5,0,0.0\r\n"
+        "sim1,1,2,16,3,50,0.0,true,2,0,0.0,0,0.0\r\n"
+        "sim2,2,2,16,3,50,0.0,false,2,1,0.5,0,0.0\r\n"
+        "sim1,3,2,16,3,50,0.0,true,2,1,0.5,1,0.5\r\n"
+        "sim4,3,2,12,3,4,0.5,false,2,2,1.0,2,1.0\r\n"
+    ),
+    "text": "".join(line + "\n" for line in (
+        "scenario  col  R  n   dim/L  corr  null  reps  mdd            dcov         ",
+        "--------  ---  -  --  -----  ----  ----  ----  -------------  -------------",
+        "sim2      1    2  16  3      -     no    2     1.000 (0.000)  1.000 (0.000)",
+        "sim3      1    2  16  4      -     no    2     0.500 (0.354)  0.000 (0.000)",
+        "sim1      1    2  16  3      -     yes   2     0.000 (0.000)  0.000 (0.000)",
+        "sim2      2    2  16  3      -     no    2     0.500 (0.354)  0.000 (0.000)",
+        "sim1      3    2  16  3      -     yes   2     0.500 (0.354)  0.500 (0.354)",
+        "sim4      -    2  12  4      0.5   no    2     1.000 (0.000)  1.000 (0.000)",
+        "",
+        "rejection frequency (Monte Carlo standard error sqrt(f(1-f)/reps))",
+        "alpha=0.2  permutations=19  seed=9  sphere_metric=geodesic  "
+        "y_encoding=discrete 0/1 metric on class codes",
+    )),
+}
+
+
 def test_every_output_format_keeps_its_bytes(tmp_path, capsys):
     points = write(tmp_path / "p.csv", "0\n1\n2\n9\n10\n12\n")
     labels = write(tmp_path / "l.csv", "a\na\nb\nb\na\nb\n")
-    grid = write(tmp_path / "grid.json", json.dumps(PINNED_GRID))
     for fmt, expected in PINNED_TEST_OUTPUT.items():
         out = tmp_path / f"result.{fmt}"
         assert main([
@@ -435,12 +635,15 @@ def test_every_output_format_keeps_its_bytes(tmp_path, capsys):
             "--seed", "4", "--output", str(out), "--format", fmt,
         ]) == 0
         assert out.read_bytes() == expected.encode(), fmt
-    for fmt, expected in PINNED_SIMULATE_OUTPUT.items():
-        out = tmp_path / f"report.{fmt}"
-        assert main(["simulate", "--grid", grid, "--output", str(out), "--format", fmt]) == 0
-        lines = out.read_bytes().decode().splitlines(keepends=True)
-        got = "".join(line for line in lines if not line.startswith("elapsed: "))
-        assert got == expected, fmt
+    pins = ((PINNED_GRID, PINNED_SIMULATE_OUTPUT), (GEODESIC_GRID, GEODESIC_SIMULATE_OUTPUT))
+    for index, (grid_obj, outputs) in enumerate(pins):
+        grid = write(tmp_path / f"grid{index}.json", json.dumps(grid_obj))
+        for fmt, expected in outputs.items():
+            out = tmp_path / f"report.{fmt}"
+            assert main(["simulate", "--grid", grid, "--output", str(out), "--format", fmt]) == 0
+            lines = out.read_bytes().decode().splitlines(keepends=True)
+            got = "".join(line for line in lines if not line.startswith("elapsed: "))
+            assert got == expected, (index, fmt)
     capsys.readouterr()
 
 
@@ -500,6 +703,19 @@ def test_output_path_that_is_a_directory_exits_2(two_point_files, tmp_path, caps
     assert main(["simulate", "--grid", grid, "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "internal error" not in err and err.count("error:") == 2
+
+
+def test_test_output_path_is_checked_before_the_test_runs(tmp_path, capsys):
+    matrix = write(tmp_path / "m.csv", "0,1,2\n1,0,1\n2,1,0\n")
+    labels = write(tmp_path / "l.csv", "0\n0\n1\n")
+    for output, message in ((tmp_path / "missing" / "x.json", "No such file"),
+                            (tmp_path, "Is a directory")):
+        assert main([
+            "test", "--matrix", matrix, "--labels", labels, "--permutations", "9",
+            "--seed", "1", "--output", str(output),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, captured
 
 
 def test_simulate_rejects_unrunnable_grids_before_any_replicate(tmp_path, monkeypatch, capsys):

@@ -23,13 +23,13 @@ from mddtest.fileio import (
     dump_json,
     fmt_float,
     grid_from_dict,
-    load_grid_json,
     load_labels_csv,
     load_numeric_csv,
-    load_preset,
     load_schema,
     preset_names,
     read_column,
+    read_json,
+    read_preset,
     result_csv_rows,
     result_to_dict,
     validate_result_dict,
@@ -440,44 +440,44 @@ def test_grid_size_limits_follow_the_requested_tests():
 def test_load_grid_json(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(MINIMAL_GRID), encoding="utf-8")
-    assert load_grid_json(path).seed == 5
+    assert grid_from_dict(read_json(path)).seed == 5
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(GridConfigError, match="not valid JSON"):
-        load_grid_json(path)
+        grid_from_dict(read_json(path))
     with pytest.raises(GridConfigError, match="^cannot read"):
-        load_grid_json(tmp_path / "absent.json")
+        grid_from_dict(read_json(tmp_path / "absent.json"))
     latin = json.dumps(dict(MINIMAL_GRID, name="café"), ensure_ascii=False).encode("latin-1")
     for data in (latin, b"[" * 100_000):
         path.write_bytes(data)
         with pytest.raises(GridConfigError, match="not valid JSON"):
-            load_grid_json(path)
+            grid_from_dict(read_json(path))
 
 
 def test_presets_load_and_cover_the_study_layouts():
     assert preset_names() == ["table1", "table2", "table3", "table4"]
     sizes = {"table1": 30, "table2": 30, "table3": 30, "table4": 15}
     for name, cell_count in sizes.items():
-        grid = load_preset(name)
+        grid = grid_from_dict(read_preset(name))
         assert len(grid.cells) == cell_count
         assert grid.tests == ("mdd", "dcov", "hhg")
 
-    table1 = load_preset("table1")
+    table1 = grid_from_dict(read_preset("table1"))
     assert {c.spec.scenario for c in table1.cells} == {"sim1"}
     assert {c.spec.column for c in table1.cells} == {1, 2, 3}
     assert {c.spec.R for c in table1.cells} == {2, 5}
     assert {c.spec.n for c in table1.cells} == {40, 60, 80, 120, 160}
 
-    table2 = load_preset("table2")
+    table2 = grid_from_dict(read_preset("table2"))
     assert {c.spec.scenario for c in table2.cells} == {"sim2"}
 
-    table3 = load_preset("table3")
+    table3 = grid_from_dict(read_preset("table3"))
     assert {c.spec.scenario for c in table3.cells} == {"sim3"}
     assert {c.spec.dim for c in table3.cells} == {3, 6, 8, 10, 12}
 
-    table4 = load_preset("table4")
+    table4 = grid_from_dict(read_preset("table4"))
     assert {c.spec.scenario for c in table4.cells} == {"sim4"}
     assert {c.spec.corr for c in table4.cells} == {0.0, 0.05, 0.1, 0.15, 0.2}
     assert {c.spec.landmarks for c in table4.cells} == {20, 50, 70}
 
     with pytest.raises(GridConfigError, match="unknown preset"):
-        load_preset("table9")
+        grid_from_dict(read_preset("table9"))

@@ -34,7 +34,7 @@ from mddtest import (
     sphere_distances,
     unit_sphere_embedding,
 )
-from mddtest.fileio import dump_json, load_preset
+from mddtest.fileio import dump_json, grid_from_dict, read_preset
 from mddtest.harness import _cell_seeds, _run_replicate
 from mddtest.inference import _null_pvalues
 
@@ -60,10 +60,9 @@ def test_distances_for_dispatch():
     assert np.array_equal(
         flat.values, euclidean_distances(PointSet.euclidean(coords.data)).values
     )
-    geo = distances_for(coords, "geodesic")
-    assert np.array_equal(
-        geo.values, sphere_distances(unit_sphere_embedding(coords)).values
-    )
+    embedded = unit_sphere_embedding(coords)
+    geo = distances_for(embedded, "geodesic")
+    assert np.array_equal(geo.values, sphere_distances(embedded).values)
 
     unit, _ = generate(ScenarioSpec(scenario="sim2", column=2, R=2, n=12), seed=1)
     assert np.array_equal(
@@ -165,7 +164,7 @@ PRESET_PVALUES_SHA256 = "97a57e0aa82f3ca3d0ece3be2801b3825b1a85fad832d867c25196c
 def test_preset_replicate_pvalues_keep_their_recorded_bits():
     pvalues = []
     for name in ("table1", "table2", "table3", "table4"):
-        grid = replace(load_preset(name), reps=1, permutations=19)
+        grid = replace(grid_from_dict(read_preset(name)), reps=1, permutations=19)
         assert grid.tests == ("mdd", "dcov", "hhg")
         for i in range(len(grid.cells)):
             pvalues.append(sorted(_run_replicate((grid, i, 0))[2].items()))

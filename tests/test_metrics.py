@@ -192,8 +192,8 @@ def test_point_set_validation():
         PointSet.shape(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         PointSet.shape(np.zeros((2, 2, 2)))  # needs at least 3 landmarks
-    p = PointSet.euclidean([[0.0], [1.0]], descriptor="pair")
-    assert p.n == 2 and p.descriptor == "pair"
+    p = PointSet.euclidean([[0.0], [1.0]])
+    assert p.n == 2
     assert not p.data.flags.writeable
 
 
@@ -246,9 +246,8 @@ def test_load_precomputed_rejections():
 
 def test_unit_sphere_embedding():
     rows = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, -3.0], [1.0, 1.0, 1.0]])
-    embedded = unit_sphere_embedding(PointSet.euclidean(rows, "coords"))
+    embedded = unit_sphere_embedding(PointSet.euclidean(rows))
     assert embedded.kind == "sphere"
-    assert embedded.descriptor == "coords"
     norms = np.linalg.norm(embedded.data, axis=1)
     assert np.abs(norms - 1.0).max() <= 1e-12
     with pytest.raises(DegenerateShape):
