@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_test(args) -> int:
     check_permutation_settings(args.permutations, args.seed)
-    fileio.check_output_path(args.output)
+    fileio.check_output_path(args.output, args.matrix, args.points, args.labels)
     raw_labels = fileio.load_labels_csv(
         args.labels, column=args.label_column, header=args.label_header
     )
@@ -103,7 +103,9 @@ def _cmd_test(args) -> int:
             f"{args.labels} holds {labels.n} labels but the point source holds "
             f"{d.n} observations"
         )
-    result = permutation_test(build_ranks(d), labels, args.permutations, args.seed)
+    ranks = build_ranks(d)
+    del d  # the test reads only the ranks
+    result = permutation_test(ranks, labels, args.permutations, args.seed)
     print(
         f"MDD={result.statistic:.6g}, p={result.p_value:.6g}, "
         f"n={result.n}, R={result.num_classes}"
@@ -144,7 +146,7 @@ def _cmd_simulate(args) -> int:
     if args.threads < 1:
         raise InvalidSpec(f"--threads must be >= 1, got {args.threads}")
     if args.output is not None:
-        fileio.check_output_path(args.output)
+        fileio.check_output_path(args.output, args.grid)
     report = run_grid(grid, threads=args.threads)
     text = report.to_text()
     print(text)
@@ -161,16 +163,18 @@ def _cmd_adjust(args) -> int:
         files = sorted(p for p in source.iterdir() if p.suffix == ".json")
         if not files:
             raise CsvFormatError(f"{source} holds no result JSON files")
-        pvals = [float(fileio.load_result_json(path)["p_value"]) for path in files]
         out_path = args.output or str(source / "adjusted.csv")
+        fileio.check_output_path(out_path, *files)
+        pvals = [float(fileio.load_result_json(path)["p_value"]) for path in files]
         out_rows = [["file", "p_value", "bh_adjusted"]] + [
             [path.name, fileio.fmt_float(p), fileio.fmt_float(adj)]
             for path, p, adj in zip(files, pvals, bh_adjust(pvals))
         ]
     else:
+        out_path = args.output or str(source.with_suffix(".adjusted.csv"))
+        fileio.check_output_path(out_path, source)
         header_row, rows, values = fileio.read_column(source, args.column, args.header)
         pvals = fileio.parse_floats(source, values, [line for line, _row in rows], args.column)
-        out_path = args.output or str(source.with_suffix(".adjusted.csv"))
         out_rows = [] if header_row is None else [header_row + ["bh_adjusted"]]
         out_rows += [
             row + [fileio.fmt_float(adj)] for (_line, row), adj in zip(rows, bh_adjust(pvals))

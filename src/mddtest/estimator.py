@@ -212,9 +212,11 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
     Within each row block, a sorted distance equal to the next one is
     not the end of its tie run; a reversed running minimum over the run
     ends ``t + 1`` gives every position the end of its run,
-    ``#{k : d(i, k) <= s_t}`` under exact equality.  Every step is
-    row-local, so the blocks change no bit.  Both arrays fit int32: an
-    ``n x n`` float64 matrix with ``n >= 2^31`` could not be held.
+    ``#{k : d(i, k) <= s_t}`` under exact equality.  A block without
+    ties skips that pass, which would leave its positions unchanged.
+    Every step is row-local, so the blocks change no bit.  Both arrays
+    fit int32: an ``n x n`` float64 matrix with ``n >= 2^31`` could not
+    be held.
     """
     n = d.n
     order = np.empty((n, n), dtype=np.int32)
@@ -225,9 +227,11 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
         sorted_d = np.sort(d.values[rows], axis=1)
         counts = sorted_counts[rows]
         counts[:] = positions
-        np.copyto(counts[:, :-1], np.int32(n), where=sorted_d[:, 1:] == sorted_d[:, :-1])
+        tied = sorted_d[:, 1:] == sorted_d[:, :-1]
         del sorted_d
-        np.minimum.accumulate(counts[:, ::-1], axis=1, out=counts[:, ::-1])
+        if tied.any():  # on tie-free rows the run ends are the positions already
+            np.copyto(counts[:, :-1], np.int32(n), where=tied)
+            np.minimum.accumulate(counts[:, ::-1], axis=1, out=counts[:, ::-1])
     order.flags.writeable = False
     sorted_counts.flags.writeable = False
     return RankStructure(order=order, sorted_counts=sorted_counts, n=n)
@@ -241,12 +245,15 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     an int32 running count of its members along the sorted rows and
     reads it at every position's tie-run end: the count never falls
     along a row, so a reversed running minimum over the run ends reads
-    it.  At a run end the class counts add up to ``sorted_counts``, so
-    the last class's count is what the others leave in ``rest``.  One
-    n^2 float64 ``diff`` serves every class, and each class sums all of
-    it in one call, so the blocks change no bit and repeated calls are
-    bit-identical; they agree with :func:`estimate_naive` to within
-    accumulation-order rounding (at most a few ulps).
+    it.  When no row holds a tie, every position ends its run
+    (``sorted_counts`` is ``t + 1`` throughout), so that read, which
+    would change nothing, is skipped.  At a run end the class counts add
+    up to ``sorted_counts``, so the last class's count is what the
+    others leave in ``rest``.  One n^2 float64 ``diff`` serves every
+    class, and each class sums all of it in one call, so the blocks
+    change no bit and repeated calls are bit-identical; they agree with
+    :func:`estimate_naive` to within accumulation-order rounding (at
+    most a few ulps).
     """
     _check_sizes(ranks.n, labels)
     n = ranks.n
@@ -261,14 +268,16 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
             np.take(codes, ranks.order[rows], out=sorted_codes[rows])
         rest = np.empty((n, n), dtype=np.int32)
         positions = np.arange(1, n + 1, dtype=np.int32)
+        tied = not (counts == positions).all()
     diff = np.empty((n, n))  # reused by every class, so one n^2 float64 is live
     sums = np.empty(labels.num_classes)
     for r in range(labels.num_classes):
         for rows in blocks:
             if r < last:
                 inside = np.cumsum(sorted_codes[rows] == r, axis=1, dtype=np.int32)
-                np.copyto(inside, np.int32(n), where=counts[rows] != positions)
-                np.minimum.accumulate(inside[:, ::-1], axis=1, out=inside[:, ::-1])
+                if tied:
+                    np.copyto(inside, np.int32(n), where=counts[rows] != positions)
+                    np.minimum.accumulate(inside[:, ::-1], axis=1, out=inside[:, ::-1])
                 np.subtract(counts[rows] if r == 0 else rest[rows], inside, out=rest[rows])
             else:
                 inside = rest[rows]

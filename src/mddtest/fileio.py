@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsvFormatError, GridConfigError, MddError
+from .errors import CsvFormatError, GridConfigError, InvalidSpec, MddError
 from .harness import ExperimentGrid, GridCell
 from .inference import TestResult
 from .simulate import ScenarioSpec
@@ -188,14 +188,20 @@ def load_labels_csv(path, column: int = 0, header: str = "auto") -> np.ndarray:
         return np.array(values)
 
 
-def check_output_path(path) -> None:
+def check_output_path(path, *inputs) -> None:
     """Raise the ``OSError`` a later write would, when ``path`` is a
-    directory or its parent is missing, so a long run cannot fail last."""
+    directory or its parent is missing, so a long run cannot fail last.
+    Refuse a ``path`` that names one of the existing files ``inputs``
+    (``None`` for an input not given), which the write would destroy."""
     target = Path(path)
     if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     if not target.parent.is_dir():
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target.parent))
+    if target.exists():
+        for source in inputs:
+            if source is not None and Path(source).exists() and os.path.samefile(target, source):
+                raise InvalidSpec(f"the output path {target} is the input file {source}")
 
 
 def write_csv(path, rows: list[list[str]]) -> None:

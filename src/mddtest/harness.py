@@ -109,7 +109,7 @@ def _cell_seeds(master_seed: int, cell_index: int, rep: int) -> tuple[int, int]:
     return int(state[0] & (2**63 - 1)), int(state[1] & (2**63 - 1))
 
 
-def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> tuple[int, int, dict[str, float]]:
+def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> dict[str, float]:
     grid, cell_index, rep = args
     spec = grid.cells[cell_index].spec
     data_seed, perm_seed = _cell_seeds(grid.seed, cell_index, rep)
@@ -118,8 +118,7 @@ def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> tuple[int, int, dic
     if grid.sphere_metric == "geodesic" and spec.scenario != "sim4" and spec.column == 1:
         points = unit_sphere_embedding(points)
     d = distances_for(points, grid.sphere_metric)
-    pvals = _null_pvalues(d, labels, grid.tests, grid.permutations, perm_seed)
-    return cell_index, rep, pvals
+    return _null_pvalues(d, labels, grid.tests, grid.permutations, perm_seed)
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
     else:
         outcomes = [_run_replicate(task) for task in tasks]
     rejections = [{t: 0 for t in grid.tests} for _ in grid.cells]
-    for cell_index, _rep, pvals in outcomes:
+    for (_grid, cell_index, _rep), pvals in zip(tasks, outcomes):
         for t in grid.tests:
             rejections[cell_index][t] += pvals[t] <= grid.alpha
     cells = [

@@ -281,8 +281,10 @@ def _diagnostic_estimates(
                 _substream(seed, idx * reps + rep).integers(0, 2**63, dtype=np.int64)
             )
             d, labels = generator(n, rep_seed)
-            values[rep] = estimate_fast(build_ranks(d), labels).value
-            del d, labels  # free this replicate's n^2 matrix before drawing the next
+            ranks = build_ranks(d)
+            del d  # the estimate reads only the ranks
+            values[rep] = estimate_fast(ranks, labels).value
+            del ranks, labels  # free this replicate's n^2 arrays before drawing the next
         out.append(values)
     return out
 

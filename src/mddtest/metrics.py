@@ -164,6 +164,22 @@ def euclidean_distances(points: PointSet) -> DistanceMatrix:
     return DistanceMatrix(out)
 
 
+def _arccos_in_place(cosines: np.ndarray, low: float) -> np.ndarray:
+    """``arccos`` of the symmetrised ``cosines`` clamped to ``[low, 1]``,
+    with a zero diagonal.  ``(c + c.T) / 2`` makes the result exactly
+    symmetric.  Every step after the sum writes into its result, and
+    callers pass ``cosines`` as an expression, so it is freed here and
+    at most two n^2 float64 arrays are live at once.
+    """
+    out = cosines + cosines.T
+    del cosines
+    out /= 2.0
+    np.clip(out, low, 1.0, out=out)
+    np.arccos(out, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
 def sphere_distances(points: PointSet) -> DistanceMatrix:
     """Great-circle distances ``arccos(<x_i, x_j>)`` on the unit sphere.
 
@@ -176,12 +192,7 @@ def sphere_distances(points: PointSet) -> DistanceMatrix:
     data = points.data
     norms = np.sqrt((data * data).sum(axis=1, keepdims=True))
     unit = data / norms
-    gram = unit @ unit.T
-    gram = (gram + gram.T) / 2.0  # exact symmetry before the elementwise arccos
-    np.clip(gram, -1.0, 1.0, out=gram)
-    out = np.arccos(gram)
-    np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(out)
+    return DistanceMatrix(_arccos_in_place(unit @ unit.T, -1.0))
 
 
 def shape_distances(points: PointSet) -> DistanceMatrix:
@@ -195,12 +206,7 @@ def shape_distances(points: PointSet) -> DistanceMatrix:
     z = points.data[:, :, 0] + 1j * points.data[:, :, 1]
     z = z - z.mean(axis=1, keepdims=True)
     z = z / np.linalg.norm(z, axis=1)[:, None]
-    mag = np.abs(z @ z.conj().T)
-    mag = (mag + mag.T) / 2.0
-    np.clip(mag, 0.0, 1.0, out=mag)
-    out = np.arccos(mag)
-    np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(out)
+    return DistanceMatrix(_arccos_in_place(np.abs(z @ z.conj().T), 0.0))
 
 
 def load_precomputed(matrix) -> DistanceMatrix:

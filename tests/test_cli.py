@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -716,6 +717,38 @@ def test_test_output_path_is_checked_before_the_test_runs(tmp_path, capsys):
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, captured
+
+
+def test_an_output_path_naming_an_input_exits_2_and_keeps_the_input(tmp_path, capsys):
+    grid = write(tmp_path / "grid.json", json.dumps(GRID))
+    matrix = write(tmp_path / "m.csv", "0,1,2\n1,0,1\n2,1,0\n")
+    points = write(tmp_path / "p.csv", "0\n1\n3\n")
+    labels = write(tmp_path / "l.csv", "0\n0\n1\n")
+    pvalues = write(tmp_path / "pvalues.csv", "0.5\n0.01\n")
+    results = tmp_path / "results"
+    results.mkdir()
+    result = write(results / "r.json", "{}")
+    test = ["test", "--labels", labels, "--permutations", "9", "--seed", "1"]
+    cases = [
+        ["simulate", "--grid", grid, "--output", grid, "--format", "csv"],
+        # another spelling of the same file
+        ["simulate", "--grid", grid, "--output", str(results / ".." / "grid.json")],
+        [*test, "--matrix", matrix, "--output", matrix],
+        [*test, "--matrix", matrix, "--output", labels],
+        [*test, "--points", points, "--output", points, "--format", "text"],
+        ["adjust", "--input", pvalues, "--output", pvalues],
+        ["adjust", "--input", str(results), "--output", result],
+    ]
+    inputs = (grid, matrix, points, labels, pvalues, result)
+    kept = {path: Path(path).read_bytes() for path in inputs}
+    for argv in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "is the input file" in captured.err, argv
+        assert {path: Path(path).read_bytes() for path in inputs} == kept, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "grid.json", "l.csv", "m.csv", "p.csv", "pvalues.csv", "results"
+    ]
 
 
 def test_simulate_rejects_unrunnable_grids_before_any_replicate(tmp_path, monkeypatch, capsys):

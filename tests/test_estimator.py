@@ -316,6 +316,41 @@ def test_row_blocks_change_no_bit_on_tie_heavy_samples(points, chunk, data):
         assert_blocked_matches_unblocked(d, LabelVector.from_codes(codes, R))
 
 
+def ties_in_rows(tied_rows, n=400):
+    """Continuous distances where only ``tied_rows`` hold a tie: row ``i``
+    gets ``d(i, i + 2) = d(i, i + 1)``, a value every other row holds once."""
+    values = random_distances(np.random.default_rng(83), n).values.copy()
+    for i in tied_rows:
+        values[i, (i + 2) % n] = values[(i + 2) % n, i] = values[i, (i + 1) % n]
+    return DistanceMatrix(values)
+
+
+# estimate_fast values of ties_in_rows at the commit before the tie-free skips
+TIED_BLOCK_ESTIMATES = {
+    "none": 0.0007465631278292164,
+    "first": 0.0007467317050379606,
+    "second": 0.0007465581552735668,
+}
+
+
+def test_tie_pass_skips_keep_counts_and_estimates_per_row_block():
+    n = 400
+    blocks = estimator._row_blocks(n)
+    assert [b.indices(n)[1] - b.indices(n)[0] for b in blocks] == [327, 73]
+    labels = random_labels(np.random.default_rng(89), n, 3)
+    cases = {"none": (), "first": range(3, 327, 29), "second": range(331, 400, 17)}
+    for name, tied_rows in cases.items():
+        d = ties_in_rows(tied_rows)
+        sorted_rows = np.sort(d.values, axis=1)
+        has_tie = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+        assert np.flatnonzero(has_tie).tolist() == list(tied_rows)
+        ranks = build_ranks(d)
+        assert np.array_equal(ranks.sorted_counts, sorted_counts_loop(d.values))
+        fast = estimate_fast(ranks, labels)
+        assert abs(fast.value - estimate_naive(d, labels).value) <= 1e-12
+        assert fast.value == TIED_BLOCK_ESTIMATES[name], name
+
+
 def traced_bytes_per_entry(n, fn, *args):
     """The traced allocation peak of ``fn(*args)`` per n^2 entry, result included."""
     tracemalloc.start()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -261,3 +263,35 @@ def test_load_precomputed_averages_without_overflow():
     assert np.array_equal(load_precomputed(big).values, big)
     near = np.array([[0.0, 1e-300], [2e-300, 0.0]])
     assert load_precomputed(near).values[0, 1] == 1.5e-300
+
+
+# sha256 of the distance bytes, recorded before the builders wrote in place
+DISTANCE_SHA256 = {
+    ("shape", 2, 0): "5ebc5738546bba49434e4212d2dfb0d40181fb6302f4dcd3c2cad31eb0a4e885",
+    ("shape", 2, 1): "02be4f23062a620a431361e5285992dfd11f6a1be28d175694c947c8d5e27752",
+    ("shape", 3, 0): "90fe2f86bf7374f4d3121682d0071aded8e698f502c00f97a3a4fca9fef5164b",
+    ("shape", 3, 1): "7eab5687fafa4a6b2df3b992da83f0873b2ef036f176e82778c997b3806d8f69",
+    ("shape", 161, 0): "072c19a98e4d8b6ad4767e3d55e8d77a6ad46536f08422ae06e4866168c4e3e7",
+    ("shape", 161, 1): "aa043f70e13562356e1c46ae4d3563e8a868f6acabb35a594658030083659fd0",
+    ("shape", 800, 0): "2d4fba966ee6d7c38d827caa4db9ee07aa88b83c83c13b1bf8c650f69cab89f4",
+    ("shape", 800, 1): "6caefdd2bbb7437175d3fcb086d57dec4f3ba02b324a50cc8e154ccc1eed35e1",
+    ("sphere", 2, 0): "f5eef2ef92e233ab57e73dc81d1f585489f5e4cb425824bc01f60e488a5c06c5",
+    ("sphere", 2, 1): "43bfa2a506ecba663222c2e48e0c06b4c1f3c1b735ea60333f932e70d5dd7ae6",
+    ("sphere", 3, 0): "198c3b74cfb422f39144f96deb250a945f9171ec7fc1aace894676a53b7b0cc7",
+    ("sphere", 3, 1): "091bff5317f8a585e365473b207dc3dbc1c04d135b6883da59ece103f56f5b07",
+    ("sphere", 161, 0): "b3547b40b96c218708bb989e17e782928e9bedb1b70265515ba16591ba1e6464",
+    ("sphere", 161, 1): "3c73a315492d35b3c94d165b740e2605ab65ac2cb23d4743156dc8a1098a3de9",
+    ("sphere", 800, 0): "9f9a5d68d7098ca5565831478bcd9ea1644e46bb2da80c711742413d0d372c93",
+    ("sphere", 800, 1): "7bd091366cb5ce45bd97f87185e983c86fc993a664e56cfaeb8280817e051db5",
+}
+
+
+def test_shape_and_sphere_distances_keep_their_bytes():
+    for (kind, n, seed), expected in DISTANCE_SHA256.items():
+        rng = np.random.default_rng(seed)
+        if kind == "shape":
+            d = shape_distances(PointSet.shape(rng.standard_normal((n, 5, 2))))
+        else:
+            rows = rng.standard_normal((n, 3))
+            d = sphere_distances(PointSet.sphere(rows / np.linalg.norm(rows, axis=1)[:, None]))
+        assert hashlib.sha256(d.values.tobytes()).hexdigest() == expected, (kind, n, seed)
