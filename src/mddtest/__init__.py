@@ -50,7 +50,6 @@ from .estimator import (
 from .harness import (
     CellResult,
     ExperimentGrid,
-    GridCell,
     TableReport,
     distances_for,
     run_grid,
@@ -98,7 +97,6 @@ __all__ = [
     "DegenerateShape",
     "DistanceMatrix",
     "ExperimentGrid",
-    "GridCell",
     "GridConfigError",
     "InvalidB",
     "InvalidLabels",

@@ -20,7 +20,7 @@ def discrete_label_distances(labels: LabelVector) -> DistanceMatrix:
     """The 0/1 discrete metric on label codes."""
     codes = labels.codes
     out = (codes[:, None] != codes[None, :]).astype(np.float64)
-    return DistanceMatrix(out)
+    return DistanceMatrix._from_fresh(out)
 
 
 def double_center(values: np.ndarray) -> np.ndarray:

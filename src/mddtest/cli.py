@@ -130,17 +130,12 @@ def _cmd_simulate(args) -> int:
     if args.grid is None and args.preset is None:
         raise InvalidSpec("one of --grid or --preset is required (or --list-presets)")
     obj = fileio.read_json(args.grid) if args.grid is not None else fileio.read_preset(args.preset)
-    fileio.validate_grid_dict(obj)  # so the flags below meet well-formed cells
+    fileio.validate_grid_dict(obj)  # so the flags below meet a well-formed grid
     # the flags replace the file's settings before the grid is built, so a
     # cell is checked only against the tests that will run
-    if args.reps is not None:
-        # a rep override flattens any per-cell replicate counts too
-        obj["reps"] = args.reps
-        for cell in obj["cells"]:
-            cell.pop("reps", None)
     if args.tests is not None:
         obj["tests"] = [t.strip() for t in args.tests.split(",") if t.strip()]
-    flags = {"permutations": args.permutations, "seed": args.seed, "alpha": args.alpha}
+    flags = dict(reps=args.reps, permutations=args.permutations, seed=args.seed, alpha=args.alpha)
     obj.update((key, value) for key, value in flags.items() if value is not None)
     grid = fileio.grid_from_dict(obj)
     if args.threads < 1:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsvFormatError, GridConfigError, InvalidSpec, MddError
-from .harness import ExperimentGrid, GridCell
+from .harness import ExperimentGrid
 from .inference import TestResult
 from .simulate import ScenarioSpec
 
@@ -365,14 +365,12 @@ def grid_from_dict(obj) -> ExperimentGrid:
     validate_grid_dict(obj)
     cells = []
     for index, cell in enumerate(obj["cells"]):
-        fields = {k: v for k, v in cell.items() if k != "reps"}
-        if "corr" in fields:
-            fields["corr"] = float(fields["corr"])
+        if "corr" in cell:
+            cell = dict(cell, corr=float(cell["corr"]))
         try:
-            spec = ScenarioSpec(**fields)
+            cells.append(ScenarioSpec(**cell))
         except MddError as exc:
             raise GridConfigError(f"/cells/{index}: {exc}") from exc
-        cells.append(GridCell(spec=spec, reps=cell.get("reps")))
     settings = {key: value for key, value in obj.items() if key != "cells"}
     if "alpha" in settings:
         settings["alpha"] = float(settings["alpha"])

@@ -35,16 +35,10 @@ Y_ENCODING = "discrete 0/1 metric on class codes"
 
 
 @dataclass(frozen=True)
-class GridCell:
-    spec: ScenarioSpec
-    reps: int | None = None  # overrides the grid-level replicate count
-
-
-@dataclass(frozen=True)
 class ExperimentGrid:
     """A batch of scenario cells plus shared run settings."""
 
-    cells: tuple[GridCell, ...]
+    cells: tuple[ScenarioSpec, ...]
     reps: int = 200
     permutations: int = 199
     alpha: float = 0.05
@@ -58,9 +52,6 @@ class ExperimentGrid:
             raise InvalidSpec("a grid needs at least one cell")
         if self.reps < 1:
             raise InvalidReps(f"replicate count must be >= 1, got {self.reps}")
-        for cell in self.cells:
-            if cell.reps is not None and cell.reps < 1:
-                raise InvalidReps(f"cell replicate count must be >= 1, got {cell.reps}")
         if self.permutations < 1:
             raise InvalidSpec(
                 f"permutation count must be >= 1, got {self.permutations}"
@@ -74,13 +65,13 @@ class ExperimentGrid:
             raise InvalidSpec("at least one test must be requested")
         if len(set(self.tests)) != len(self.tests):
             raise InvalidSpec(f"each test may be requested once, got {list(self.tests)}")
-        for index, cell in enumerate(self.cells):
-            if "mdd" in self.tests and cell.spec.n > MAX_EXACT_N:
+        for index, spec in enumerate(self.cells):
+            if "mdd" in self.tests and spec.n > MAX_EXACT_N:
                 raise InvalidSpec(
-                    f"cell {index} has n = {cell.spec.n}, but mdd needs n <= {MAX_EXACT_N}"
+                    f"cell {index} has n = {spec.n}, but mdd needs n <= {MAX_EXACT_N}"
                 )
-            if "hhg" in self.tests and cell.spec.n < 3:
-                raise InvalidSpec(f"cell {index} has n = {cell.spec.n}, but hhg needs n >= 3")
+            if "hhg" in self.tests and spec.n < 3:
+                raise InvalidSpec(f"cell {index} has n = {spec.n}, but hhg needs n >= 3")
         if self.seed < 0:
             raise InvalidSpec(f"the master seed must be >= 0, got {self.seed}")
         if self.sphere_metric not in SPHERE_METRICS:
@@ -111,7 +102,7 @@ def _cell_seeds(master_seed: int, cell_index: int, rep: int) -> tuple[int, int]:
 
 def _run_replicate(args: tuple[ExperimentGrid, int, int]) -> dict[str, float]:
     grid, cell_index, rep = args
-    spec = grid.cells[cell_index].spec
+    spec = grid.cells[cell_index]
     data_seed, perm_seed = _cell_seeds(grid.seed, cell_index, rep)
     points, labels = generate(spec, seed=data_seed)
     # under the geodesic metric, coordinate tuples are directions on the sphere
@@ -152,14 +143,11 @@ class TableReport:
     def to_json_dict(self) -> dict:
         cells = []
         for cell in self.cells:
-            spec_dict = {
-                k: v for k, v in asdict(cell.spec).items() if v is not None
-            }
             tests = {
                 t: {"rejections": cell.rejections[t], "frequency": cell.frequency(t)}
                 for t in sorted(cell.rejections)
             }
-            cells.append({"spec": spec_dict, "reps": cell.reps, "tests": tests})
+            cells.append({"spec": asdict(cell.spec), "reps": cell.reps, "tests": tests})
         return {"config": self.config, "cells": cells}
 
     def to_text(self) -> str:
@@ -219,13 +207,14 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
     """Execute every cell of a grid and aggregate rejection frequencies.
 
     ``threads > 1`` fans (cell, replicate) tasks out to worker
-    processes, at most one per task and per CPU; aggregation is by task
+    processes, at most one per task and per usable CPU; aggregation is by task
     index, so the thread count never changes the report.
     """
     start = time.perf_counter()
-    reps = [grid.reps if cell.reps is None else cell.reps for cell in grid.cells]
-    tasks = [(grid, i, rep) for i, count in enumerate(reps) for rep in range(count)]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    tasks = [(grid, i, rep) for i in range(len(grid.cells)) for rep in range(grid.reps)]
+    # the CPUs this process may run on: affinity can leave fewer than the machine has
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(tasks), cpus or 1)
     if workers > 1:
         # imported here: multiprocessing would add to every `import mddtest`
         from concurrent.futures import ProcessPoolExecutor
@@ -240,8 +229,8 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
         for t in grid.tests:
             rejections[cell_index][t] += pvals[t] <= grid.alpha
     cells = [
-        CellResult(spec=cell.spec, reps=reps[i], rejections=rejections[i])
-        for i, cell in enumerate(grid.cells)
+        CellResult(spec=spec, reps=grid.reps, rejections=counts)
+        for spec, counts in zip(grid.cells, rejections)
     ]
     config = {
         "name": grid.name,

@@ -121,7 +121,16 @@ class DistanceMatrix:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        self._adopt(_freeze(np.asarray(self.values, dtype=np.float64)))
+
+    @classmethod
+    def _from_fresh(cls, values: np.ndarray) -> DistanceMatrix:
+        """Check and wrap a fresh array that no caller holds, without copying it."""
+        self = object.__new__(cls)
+        self._adopt(values)
+        return self
+
+    def _adopt(self, values: np.ndarray) -> None:
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise AsymmetricMatrix("distance matrix must be square")
         if values.shape[0] < 2:
@@ -134,7 +143,8 @@ class DistanceMatrix:
             raise NonzeroDiagonal("distance matrix diagonal must be exactly zero")
         if not np.array_equal(values, values.T):
             raise AsymmetricMatrix("distance matrix must be exactly symmetric as stored")
-        object.__setattr__(self, "values", _freeze(values))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", values.shape[0])
 
 
@@ -161,7 +171,7 @@ def euclidean_distances(points: PointSet) -> DistanceMatrix:
     out = np.zeros((n, n))
     out[iu, ju] = vals
     out[ju, iu] = vals
-    return DistanceMatrix(out)
+    return DistanceMatrix._from_fresh(out)
 
 
 def _arccos_in_place(cosines: np.ndarray, low: float) -> np.ndarray:
@@ -192,7 +202,7 @@ def sphere_distances(points: PointSet) -> DistanceMatrix:
     data = points.data
     norms = np.sqrt((data * data).sum(axis=1, keepdims=True))
     unit = data / norms
-    return DistanceMatrix(_arccos_in_place(unit @ unit.T, -1.0))
+    return DistanceMatrix._from_fresh(_arccos_in_place(unit @ unit.T, -1.0))
 
 
 def shape_distances(points: PointSet) -> DistanceMatrix:
@@ -206,7 +216,7 @@ def shape_distances(points: PointSet) -> DistanceMatrix:
     z = points.data[:, :, 0] + 1j * points.data[:, :, 1]
     z = z - z.mean(axis=1, keepdims=True)
     z = z / np.linalg.norm(z, axis=1)[:, None]
-    return DistanceMatrix(_arccos_in_place(np.abs(z @ z.conj().T), 0.0))
+    return DistanceMatrix._from_fresh(_arccos_in_place(np.abs(z @ z.conj().T), 0.0))
 
 
 def load_precomputed(matrix) -> DistanceMatrix:
@@ -242,7 +252,7 @@ def load_precomputed(matrix) -> DistanceMatrix:
     skew = values != values.T
     out[skew] = values[skew] / 2.0 + values.T[skew] / 2.0
     np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(out)
+    return DistanceMatrix._from_fresh(out)
 
 
 def unit_sphere_embedding(points: PointSet) -> PointSet:

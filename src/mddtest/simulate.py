@@ -34,7 +34,6 @@ from .inference import _substream
 from .metrics import PointSet
 
 SCENARIOS = ("sim1", "sim2", "sim3", "sim4")
-NOISE_KINDS = ("none", "t1", "t2")
 
 _VMF_CLASS_ANGLES = {5: (4.0, 3.0, 1.0, 5.0, 2.0)}
 _GAUSS_CLASS_MEANS = {
@@ -52,10 +51,7 @@ class ScenarioSpec:
     ``column`` selects coordinate tuples (1), von Mises-Fisher rows (2)
     or Gaussian rows (3) for sim1-sim3 and is ignored by sim4.
     ``dim`` is the ambient dimension for columns 1-3; sim4 uses
-    ``landmarks`` and ``corr`` instead.  ``noise`` overrides the
-    scenario's noise law (``"none"``, ``"t1"``, ``"t2"``); None keeps
-    the scenario default.  ``mean_gap`` and ``kappa`` override the
-    Gaussian mean spacing and the von Mises-Fisher concentration.
+    ``landmarks`` and ``corr`` instead.
     """
 
     scenario: str
@@ -66,9 +62,6 @@ class ScenarioSpec:
     landmarks: int = 50
     corr: float = 0.0
     null: bool = False
-    noise: str | None = None
-    mean_gap: float | None = None
-    kappa: float | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -94,19 +87,8 @@ class ScenarioSpec:
                 raise InvalidSpec(f"need at least 3 landmarks, got {self.landmarks}")
             if not 0.0 <= self.corr < 1.0:
                 raise InvalidSpec(f"corr must lie in [0, 1), got {self.corr}")
-        if self.noise is not None and self.noise not in NOISE_KINDS:
-            raise InvalidSpec(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
-        # NaN or infinite concentrations never finish the rejection sampler
-        if self.kappa is not None and not 0.0 <= self.kappa < np.inf:
-            raise InvalidSpec(f"kappa must be finite and >= 0, got {self.kappa}")
-        vmf = self.scenario in ("sim2", "sim3") and self.column == 2 and not self.null
-        if vmf and self.kappa is not None:
-            _vmf_envelope(self.kappa, self.dim - 1)
-        if self.mean_gap is not None and not np.isfinite(self.mean_gap):
-            raise InvalidSpec(f"mean_gap must be finite, got {self.mean_gap}")
-        gaussian = self.scenario in ("sim2", "sim3") and self.column == 3 and not self.null
-        if gaussian and self.mean_gap is None and self.R not in _GAUSS_CLASS_MEANS:
-            raise InvalidSpec(f"no standard Gaussian means for R={self.R}; set mean_gap")
+        if self.scenario in ("sim2", "sim3") and self.column == 3:
+            _gaussian_means(self)  # raises for a class count without standard means
 
 
 def label_proportions(R: int) -> np.ndarray:
@@ -130,10 +112,8 @@ def _draw_labels(rng: np.random.Generator, R: int, n: int) -> LabelVector:
     )
 
 
-def _noise_draws(rng: np.random.Generator, kind: str, size) -> np.ndarray:
-    if kind == "none":
-        return np.zeros(size)
-    df = 1 if kind == "t1" else 2
+def _noise_draws(rng: np.random.Generator, df: int, size) -> np.ndarray:
+    """Student t(df) noise: t(1) for coordinate tuples, t(2) for shapes."""
     return rng.standard_t(df, size=size)
 
 
@@ -155,7 +135,6 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
     q = spec.dim - 2
     theta = rng.uniform(-np.pi, np.pi, size=n)
     phi = np.empty((n, q))
-    noise_kind = "t1" if spec.noise is None else spec.noise
     if spec.null:
         phi[:] = rng.uniform(-np.pi, np.pi, size=(n, q))
         eps = np.zeros(n)
@@ -168,7 +147,7 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
         narrow = rng.uniform(low, high, size=(n, q))
         in_class1 = labels.codes == 1
         phi[:] = np.where(in_class1[:, None], narrow, draws)
-        eps = np.where(in_class1, _noise_draws(rng, noise_kind, n), 0.0)
+        eps = np.where(in_class1, _noise_draws(rng, 1, n), 0.0)
     else:
         lows = (-1.0 + 2.0 * np.arange(spec.R) / spec.R) * np.pi
         highs = (-1.0 + 2.0 * (np.arange(spec.R) + 1) / spec.R) * np.pi
@@ -176,32 +155,9 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
         lo = lows[labels.codes][:, None]
         hi = highs[labels.codes][:, None]
         phi[:] = lo + unit * (hi - lo)
-        eps = _noise_draws(rng, noise_kind, n)
+        eps = _noise_draws(rng, 1, n)
     rows = np.column_stack([np.ones(n), theta, phi + eps[:, None]])
     return PointSet.euclidean(rows), labels
-
-
-def _vmf_envelope(kappa: float, m: int) -> tuple[float, float, float]:
-    """The beta envelope ``(b, x0, c)`` of the cosine sampler for ``m = d - 1``.
-
-    Every acceptance test subtracts ``c``.  Once ``kappa`` is so large
-    that ``x0`` rounds to 1, ``c`` is ``-inf``, each test compares NaN
-    and the loop never ends, so a ``kappa`` without a finite ``c`` is
-    rejected.
-    """
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            b = m / (2.0 * kappa + np.sqrt(4.0 * kappa**2 + m * m))
-            x0 = (1.0 - b) / (1.0 + b)
-            c = kappa * x0 + m * np.log(1.0 - x0 * x0)
-    except OverflowError:  # kappa**2 beyond the float range
-        c = -np.inf
-    if not np.isfinite(c):
-        raise InvalidSpec(
-            f"kappa = {kappa} is too large for the von Mises-Fisher sampler in "
-            f"dimension {m + 1}"
-        )
-    return b, x0, c
 
 
 def sample_vmf(
@@ -225,7 +181,20 @@ def sample_vmf(
         return raw / np.linalg.norm(raw, axis=1, keepdims=True)
     mu = mu / np.linalg.norm(mu)
     m = d - 1
-    b, x0, c = _vmf_envelope(kappa, m)
+    # the beta envelope (b, x0, c): every acceptance test subtracts c, so once
+    # kappa is so large that x0 rounds to 1, c is -inf, each test compares NaN
+    # and the loop would never end
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            b = m / (2.0 * kappa + np.sqrt(4.0 * kappa**2 + m * m))
+            x0 = (1.0 - b) / (1.0 + b)
+            c = kappa * x0 + m * np.log(1.0 - x0 * x0)
+    except OverflowError:  # kappa**2 beyond the float range
+        c = -np.inf
+    if not np.isfinite(c):
+        raise InvalidSpec(
+            f"kappa = {kappa} is too large for the von Mises-Fisher sampler in dimension {d}"
+        )
     w = np.empty(size)
     filled = rounds = 0
     while filled < size:
@@ -265,12 +234,11 @@ def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     Class ``r`` uses the mean direction ``(cos a_r, sin a_r, 0, ...)``
     built from a scalar class angle (classes 1..R map to angles 1..R,
     except the five-class study which uses the fixed shuffle
-    (4, 3, 1, 5, 2)).  Independence cells draw uniformly on the sphere
-    (zero concentration).
+    (4, 3, 1, 5, 2)), at concentration 1.  Independence cells draw
+    uniformly on the sphere (zero concentration).
     """
     rng = _substream(seed, 1)
     labels = _draw_labels(rng, spec.R, spec.n)
-    kappa = 1.0 if spec.kappa is None else spec.kappa
     rows = np.empty((spec.n, spec.dim))
     if spec.null:
         rows[:] = sample_vmf(rng, np.eye(spec.dim)[0], 0.0, spec.n)
@@ -278,29 +246,24 @@ def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
         directions = _vmf_directions(spec.R, spec.dim)
         for r in range(spec.R):
             idx = np.flatnonzero(labels.codes == r)
-            rows[idx] = sample_vmf(rng, directions[r], kappa, idx.size)
+            rows[idx] = sample_vmf(rng, directions[r], 1.0, idx.size)
     return PointSet.sphere(rows), labels
 
 
 def _gaussian_means(spec: ScenarioSpec) -> np.ndarray:
     if spec.null:
         return np.zeros(spec.R)
-    if spec.mean_gap is not None:
-        return spec.mean_gap * np.arange(spec.R, dtype=np.float64)
     try:
         return np.asarray(_GAUSS_CLASS_MEANS[spec.R])
     except KeyError:
-        raise InvalidSpec(
-            f"no standard Gaussian means for R={spec.R}; set mean_gap explicitly"
-        ) from None
+        raise InvalidSpec(f"no standard Gaussian means for R={spec.R}") from None
 
 
 def gen_gaussian(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     """Gaussian rows, unit variance, the class mean in every coordinate.
 
     Two classes use means (0, 0.6); five use (4, 3, 1, 5, 2)/3; other
-    class counts require an explicit ``mean_gap`` giving means
-    ``(0, gap, 2 gap, ...)``.
+    class counts raise :class:`InvalidSpec` unless the cell is null.
     """
     rng = _substream(seed, 1)
     labels = _draw_labels(rng, spec.R, spec.n)
@@ -333,8 +296,7 @@ def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVe
     t = (np.arange(L) + 0.5) * (2.0 * np.pi / L)
     corr = 0.0 if spec.null else spec.corr
     angle = np.where(labels.codes == 1, np.arccos(corr), np.pi / 2.0)
-    noise_kind = "t2" if spec.noise is None else spec.noise
-    eps = _noise_draws(rng, noise_kind, (spec.n, L)) * ELLIPSE_NOISE_SCALE
+    eps = _noise_draws(rng, 2, (spec.n, L)) * ELLIPSE_NOISE_SCALE
     configs = np.empty((spec.n, L, 2))
     configs[:, :, 0] = np.cos(t[None, :] + angle[:, None] / 2.0) + eps
     configs[:, :, 1] = np.cos(t[None, :] - angle[:, None] / 2.0) + eps

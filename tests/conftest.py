@@ -4,6 +4,7 @@ evaluation of the statistic."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,17 @@ from mddtest import (
     shape_distances,
     sphere_distances,
 )
+
+
+def traced_bytes_per_entry(n, fn, *args):
+    """The traced allocation peak of ``fn(*args)`` per n^2 entry, result included."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / (n * n)
+    finally:
+        tracemalloc.stop()
 
 
 def run_python(code, timeout):

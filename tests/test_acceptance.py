@@ -14,7 +14,6 @@ import numpy as np
 
 from mddtest import (
     ExperimentGrid,
-    GridCell,
     LabelVector,
     PointSet,
     ScenarioSpec,
@@ -41,7 +40,7 @@ def frequency(report, cell_index, test):
 
 def power_grid(cells, reps, permutations, tests, seed):
     grid = ExperimentGrid(
-        cells=tuple(GridCell(spec=s) for s in cells),
+        cells=tuple(cells),
         reps=reps,
         permutations=permutations,
         tests=tests,
@@ -227,12 +226,7 @@ def test_accept_09_statistic_respects_the_advertised_invariances():
 
 def test_accept_10_study_grids_reproduce_byte_identically():
     full = grid_from_dict(read_preset("table1"))
-    reduced = replace(
-        full,
-        reps=1,
-        permutations=49,
-        cells=tuple(GridCell(spec=c.spec) for c in full.cells),
-    )
+    reduced = replace(full, reps=1, permutations=49)
     first = dump_json(run_grid(reduced).to_json_dict())
     again = dump_json(run_grid(reduced).to_json_dict())
     threaded = dump_json(run_grid(reduced, threads=2).to_json_dict())

@@ -5,8 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run_python
-
 from mddtest import InvalidLabels, LabelVector, cli
 from mddtest.cli import main
 from mddtest.fileio import validate_result_dict
@@ -756,9 +754,9 @@ def test_simulate_rejects_unrunnable_grids_before_any_replicate(tmp_path, monkey
         raise AssertionError("run_grid was called")
 
     monkeypatch.setattr(cli, "run_grid", no_run)
-    huge_kappa = {"scenario": "sim2", "column": 2, "n": 10, "kappa": 1e20}
+    kappa = {"scenario": "sim2", "column": 2, "n": 10, "kappa": 1.0}
     cases = (
-        (dict(GRID, cells=[huge_kappa]), [], "error: /cells/0: kappa"),
+        (dict(GRID, cells=[kappa]), [], "error: /cells/0/kappa: unknown field"),
         (dict(GRID, cells=[{"scenario": "sim2", "n": 10**20}]), [], "error: /cells/0/n:"),
         (dict(GRID, cells=[{"scenario": "sim2", "n": 9742}]), [], "n = 9742"),
         (dict(GRID, tests=["dcov"], cells=[{"scenario": "sim2", "n": 9742}]),
@@ -771,20 +769,6 @@ def test_simulate_rejects_unrunnable_grids_before_any_replicate(tmp_path, monkey
         assert main(["simulate", "--grid", path, *extra]) == 2, grid
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, err
-
-
-def test_a_vmf_cell_that_accepts_no_draw_exits_2_in_bounded_time(tmp_path):
-    # in 1001-d, kappa = 3.5e18 has a finite envelope, but every candidate's
-    # acceptance exponent rounds below log(u): the sampler used to loop forever
-    cell = {"scenario": "sim2", "column": 2, "n": 20, "dim": 1001, "kappa": 3.5e18}
-    path = write(tmp_path / "grid.json", json.dumps(dict(GRID, cells=[cell])))
-    proc = run_python(
-        f"from mddtest.cli import main; raise SystemExit(main(['simulate', '--grid', {path!r}]))",
-        timeout=120,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: kappa = 3.5e+18 is too large"), proc.stderr
-    assert "dimension 1001" in proc.stderr
 
 
 def test_point_coordinates_that_overflow_exit_3(tmp_path, capsys):

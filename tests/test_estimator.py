@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_statistic, random_distances, random_labels
+from conftest import exact_statistic, random_distances, random_labels, traced_bytes_per_entry
 
 from mddtest import (
     DistanceMatrix,
@@ -349,17 +348,6 @@ def test_tie_pass_skips_keep_counts_and_estimates_per_row_block():
         fast = estimate_fast(ranks, labels)
         assert abs(fast.value - estimate_naive(d, labels).value) <= 1e-12
         assert fast.value == TIED_BLOCK_ESTIMATES[name], name
-
-
-def traced_bytes_per_entry(n, fn, *args):
-    """The traced allocation peak of ``fn(*args)`` per n^2 entry, result included."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return (tracemalloc.get_traced_memory()[1] - before) / (n * n)
-    finally:
-        tracemalloc.stop()
 
 
 def test_rank_build_and_estimate_hold_few_bytes_per_entry():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -16,6 +17,7 @@ from mddtest import (
     CsvFormatError,
     ExperimentGrid,
     GridConfigError,
+    ScenarioSpec,
     build_ranks,
     permutation_test,
 )
@@ -371,22 +373,24 @@ def test_grid_from_dict_minimal_and_defaults():
     assert grid.alpha == 0.05
     assert grid.tests == ("mdd",)
     assert grid.sphere_metric == "euclidean"
-    assert grid.cells[0].spec.n == 12
-    assert grid.cells[0].reps is None
+    assert grid.cells[0] == ScenarioSpec(scenario="sim2", column=3, R=2, n=12, dim=2)
     full = dict(
         MINIMAL_GRID,
         name="demo",
         alpha=0.1,
         tests=["mdd", "hhg"],
         sphere_metric="geodesic",
-        cells=[{"scenario": "sim2", "column": 1, "R": 2, "n": 12, "dim": 3,
-                "noise": "t2", "reps": 7}],
+        cells=[{"scenario": "sim2", "column": 1, "R": 2, "n": 12, "dim": 3}],
     )
     grid = grid_from_dict(full)
     assert grid.name == "demo" and grid.alpha == 0.1
     assert grid.tests == ("mdd", "hhg")
-    assert grid.cells[0].reps == 7
-    assert grid.cells[0].spec.noise == "t2"
+    assert grid.cells[0] == ScenarioSpec(scenario="sim2", column=1, R=2, n=12, dim=3)
+
+
+def test_grid_schema_cells_hold_the_scenario_fields():
+    cell = load_schema("grid")["properties"]["cells"]["items"]
+    assert list(cell["properties"]) == [f.name for f in dataclasses.fields(ScenarioSpec)]
 
 
 def test_grid_from_dict_pointer_errors():
@@ -400,7 +404,6 @@ def test_grid_from_dict_pointer_errors():
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim2"}]), "/cells/0/n"),
         (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], n="x")]), "/cells/0/n"),
         (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], banana=1)]), "/cells/0/banana"),
-        (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], reps=0)]), "/cells/0/reps"),
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim4", "n": 12, "corr": 1.5}]), "/cells/0"),
         (dict(MINIMAL_GRID, cells=[7]), "/cells/0"),
         (dict(MINIMAL_GRID, tests=["energy"]), "/"),
@@ -409,16 +412,17 @@ def test_grid_from_dict_pointer_errors():
         (dict(MINIMAL_GRID, alpha=0), "/alpha"),
         (dict(MINIMAL_GRID, alpha=float("nan")), "/alpha"),
         (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], null=1)]), "/cells/0/null"),
-        (dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], kappa=-1)]), "/cells/0"),
-        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "column": 2, "n": 10,
-                                    "kappa": 1e20}]), "/cells/0: kappa"),
+        # a cell holds only ScenarioSpec's fields; the grid alone sets reps
+        *((dict(MINIMAL_GRID, cells=[dict(MINIMAL_GRID["cells"][0], **{key: value})]),
+           f"/cells/0/{key}: unknown field")
+          for key, value in (("reps", 7), ("noise", "t2"), ("mean_gap", 1.0), ("kappa", 1.0))),
         # no n x n float64 matrix is addressable past 2^30 - 1
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 10**20}]), "/cells/0/n"),
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 2**30}]), "/cells/0/n"),
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 40},
                                    {"scenario": "sim2", "n": 9742}]), "/: cell 1 has n = 9742"),
         # cells that the generators reject are refused before any replicate runs
-        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 40, "reps": 40},
+        (dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 40},
                                    {"scenario": "sim4", "n": 40, "R": 3}]), "/cells/1"),
         (dict(MINIMAL_GRID, cells=[{"scenario": "sim3", "n": 40, "R": 3}]), "/cells/0"),
         ([], "/"),
@@ -433,7 +437,7 @@ def test_grid_size_limits_follow_the_requested_tests():
     cells = [{"scenario": "sim2", "n": 9742}, {"scenario": "sim2", "n": 2**30 - 1}]
     for tests in (["dcov"], ["hhg"], ["dcov", "hhg"]):
         grid = grid_from_dict(dict(MINIMAL_GRID, cells=cells, tests=tests))
-        assert [c.spec.n for c in grid.cells] == [9742, 2**30 - 1]
+        assert [c.n for c in grid.cells] == [9742, 2**30 - 1]
     assert grid_from_dict(dict(MINIMAL_GRID, cells=[{"scenario": "sim2", "n": 9741}]))
 
 
@@ -462,22 +466,22 @@ def test_presets_load_and_cover_the_study_layouts():
         assert grid.tests == ("mdd", "dcov", "hhg")
 
     table1 = grid_from_dict(read_preset("table1"))
-    assert {c.spec.scenario for c in table1.cells} == {"sim1"}
-    assert {c.spec.column for c in table1.cells} == {1, 2, 3}
-    assert {c.spec.R for c in table1.cells} == {2, 5}
-    assert {c.spec.n for c in table1.cells} == {40, 60, 80, 120, 160}
+    assert {c.scenario for c in table1.cells} == {"sim1"}
+    assert {c.column for c in table1.cells} == {1, 2, 3}
+    assert {c.R for c in table1.cells} == {2, 5}
+    assert {c.n for c in table1.cells} == {40, 60, 80, 120, 160}
 
     table2 = grid_from_dict(read_preset("table2"))
-    assert {c.spec.scenario for c in table2.cells} == {"sim2"}
+    assert {c.scenario for c in table2.cells} == {"sim2"}
 
     table3 = grid_from_dict(read_preset("table3"))
-    assert {c.spec.scenario for c in table3.cells} == {"sim3"}
-    assert {c.spec.dim for c in table3.cells} == {3, 6, 8, 10, 12}
+    assert {c.scenario for c in table3.cells} == {"sim3"}
+    assert {c.dim for c in table3.cells} == {3, 6, 8, 10, 12}
 
     table4 = grid_from_dict(read_preset("table4"))
-    assert {c.spec.scenario for c in table4.cells} == {"sim4"}
-    assert {c.spec.corr for c in table4.cells} == {0.0, 0.05, 0.1, 0.15, 0.2}
-    assert {c.spec.landmarks for c in table4.cells} == {20, 50, 70}
+    assert {c.scenario for c in table4.cells} == {"sim4"}
+    assert {c.corr for c in table4.cells} == {0.0, 0.05, 0.1, 0.15, 0.2}
+    assert {c.landmarks for c in table4.cells} == {20, 50, 70}
 
     with pytest.raises(GridConfigError, match="unknown preset"):
         grid_from_dict(read_preset("table9"))

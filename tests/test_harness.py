@@ -12,7 +12,6 @@ from test_baselines import hhg_discrete_loop
 from mddtest import (
     CellResult,
     ExperimentGrid,
-    GridCell,
     InvalidReps,
     InvalidSpec,
     LabelVector,
@@ -41,8 +40,8 @@ from mddtest.inference import _null_pvalues
 
 def small_grid(**overrides):
     cells = (
-        GridCell(spec=ScenarioSpec(scenario="sim2", column=3, R=2, n=16, dim=2)),
-        GridCell(spec=ScenarioSpec(scenario="sim1", column=3, R=2, n=16, dim=2)),
+        ScenarioSpec(scenario="sim2", column=3, R=2, n=16, dim=2),
+        ScenarioSpec(scenario="sim1", column=3, R=2, n=16, dim=2),
     )
     settings = dict(
         cells=cells, reps=4, permutations=19, alpha=0.05,
@@ -102,11 +101,11 @@ def test_cell_seeds_are_deterministic_and_distinct():
 def test_run_grid_matches_manual_replication():
     grid = small_grid(reps=2, permutations=9)
     report = run_grid(grid)
-    for cell_index, cell in enumerate(grid.cells):
+    for cell_index, spec in enumerate(grid.cells):
         expected = {t: 0 for t in grid.tests}
         for rep in range(2):
             data_seed, perm_seed = _cell_seeds(grid.seed, cell_index, rep)
-            points, labels = generate(cell.spec, seed=data_seed)
+            points, labels = generate(spec, seed=data_seed)
             d = distances_for(points, grid.sphere_metric)
             perms = draw_label_permutations(d.n, grid.permutations, perm_seed)
             ranks = build_ranks(d)
@@ -234,28 +233,12 @@ def test_text_table_prints_the_monte_carlo_standard_error():
     assert report.to_csv_rows()[1][-4:] == ["190", "0.95", "0", "0.0"]
 
 
-def test_run_grid_per_cell_reps_override():
-    cells = (
-        GridCell(
-            spec=ScenarioSpec(scenario="sim1", column=3, R=2, n=12, dim=2), reps=2
-        ),
-        GridCell(spec=ScenarioSpec(scenario="sim1", column=3, R=2, n=12, dim=2)),
-    )
-    grid = ExperimentGrid(cells=cells, reps=5, permutations=9, seed=7)
-    report = run_grid(grid)
-    assert report.cells[0].reps == 2
-    assert report.cells[1].reps == 5
-    assert report.cells[0].frequency("mdd") == report.cells[0].rejections["mdd"] / 2
-
-
 def test_experiment_grid_validation():
-    cell = GridCell(spec=ScenarioSpec(scenario="sim1", column=3, R=2, n=12, dim=2))
+    cell = ScenarioSpec(scenario="sim1", column=3, R=2, n=12, dim=2)
     with pytest.raises(InvalidSpec):
         ExperimentGrid(cells=())
     with pytest.raises(InvalidReps):
         ExperimentGrid(cells=(cell,), reps=0)
-    with pytest.raises(InvalidReps):
-        ExperimentGrid(cells=(GridCell(spec=cell.spec, reps=0),))
     with pytest.raises(InvalidSpec):
         ExperimentGrid(cells=(cell,), permutations=0)
     with pytest.raises(InvalidSpec):
@@ -275,12 +258,12 @@ def test_experiment_grid_validation():
     with pytest.raises(InvalidSpec, match="seed"):
         ExperimentGrid(cells=(cell,), seed=-1)
     # exact MDD keys stop at MAX_EXACT_N; the other tests have no such limit
-    big = GridCell(spec=ScenarioSpec(scenario="sim2", column=3, R=2, n=9742, dim=2))
+    big = ScenarioSpec(scenario="sim2", column=3, R=2, n=9742, dim=2)
     grid = ExperimentGrid(cells=(cell, big), tests=("dcov", "hhg"))
     with pytest.raises(InvalidSpec, match="cell 1 has n = 9742"):
         replace(grid, tests=("dcov", "mdd"))
     # pairwise 2x2 tables need n >= 3; a grid must not fail after earlier cells ran
-    pair = GridCell(spec=ScenarioSpec(scenario="sim1", column=3, R=1, n=2, dim=2))
+    pair = ScenarioSpec(scenario="sim1", column=3, R=1, n=2, dim=2)
     grid = ExperimentGrid(cells=(cell, pair), tests=("mdd", "dcov"))
     with pytest.raises(InvalidSpec, match="cell 1 has n = 2, but hhg needs n >= 3"):
         replace(grid, tests=("mdd", "hhg"))
@@ -307,11 +290,17 @@ def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     grid = small_grid(reps=2, permutations=9, tests=("mdd",))  # 4 tasks
     reference = dump_json(run_grid(grid).to_json_dict())
-    for cpus, threads in ((8, 10**6), (3, 10**6), (8, 2), (None, 10**6)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    # the machine has 8 CPUs, but the process may run on only some of them
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    for cpus, threads in ((8, 10**6), (3, 10**6), (8, 2), (1, 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         report = run_grid(grid, threads=threads)
         assert dump_json(report.to_json_dict()) == reference
-    # min(threads, tasks, cpus); an unknown CPU count runs in-process
+    # without an affinity call, an unknown CPU count runs in-process
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert dump_json(run_grid(grid, threads=10**6).to_json_dict()) == reference
+    # min(threads, tasks, usable CPUs)
     assert pools == [4, 3, 2]
 
 

@@ -1,10 +1,9 @@
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import exact_statistic, random_distances, random_labels
+from conftest import exact_statistic, random_distances, random_labels, traced_bytes_per_entry
 
 from mddtest import (
     DegenerateLabelsWarning,
@@ -211,19 +210,16 @@ def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeyp
     monkeypatch.setattr(cli, "build_ranks", lambda d: stand_in)
     labels_csv = tmp_path / "labels.csv"
     labels_csv.write_text("".join(f"{i % 2}\n" for i in range(n)), encoding="utf-8")
-    tracemalloc.start()
-    try:
-        code = cli.main([
-            "test", "--matrix", "unused.csv", "--labels", str(labels_csv),
-            "--permutations", "9", "--seed", "0", "--output", str(tmp_path / "r.json"),
-        ])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
+    argv = [
+        "test", "--matrix", "unused.csv", "--labels", str(labels_csv),
+        "--permutations", "9", "--seed", "0", "--output", str(tmp_path / "r.json"),
+    ]
+    codes = []
+    per_entry = traced_bytes_per_entry(n, lambda: codes.append(cli.main(argv)))
+    assert codes == [2]
     assert f"n <= {MAX_EXACT_N}" in capsys.readouterr().err
     # an n x n array of single bytes would be eight times this bound
-    assert peak < n * n // 8
+    assert per_entry < 1 / 8
 
 
 def test_permutation_pvalues_are_superuniform_under_independence():
@@ -329,14 +325,7 @@ def test_scaling_diagnostic_frees_each_matrix_once_its_ranks_exist():
     # entry; holding the distances through the estimate took 33.8
     scaling_diagnostic(shape_pair, (8,), MIN_SCALING_REPS)
     n = 500
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        scaling_diagnostic(shape_pair, (n,), MIN_SCALING_REPS)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak / (n * n) <= 29
+    assert traced_bytes_per_entry(n, scaling_diagnostic, shape_pair, (n,), MIN_SCALING_REPS) <= 29
 
 
 def mostly_degenerate_pair(n, seed):

@@ -217,6 +217,19 @@ def test_distance_matrix_validation():
     assert not d.values.flags.writeable
 
 
+def test_distance_matrix_copies_a_callers_array():
+    # the builders hand over fresh arrays uncopied; a caller's array is copied,
+    # even a read-only one, since its owner can still write to it
+    for lock in ("writeable", "read-only", "read-only view"):
+        arr = np.array([[0.0, 2.0], [2.0, 0.0]])
+        given = arr.view() if lock == "read-only view" else arr
+        given.flags.writeable = lock == "writeable"
+        d = DistanceMatrix(given)
+        arr.flags.writeable = True
+        arr[0, 1] = arr[1, 0] = 5.0
+        assert d.values.tolist() == [[0.0, 2.0], [2.0, 0.0]], lock
+
+
 def test_load_precomputed_accepts_and_symmetrises():
     base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     assert np.array_equal(load_precomputed(base).values, base)
