@@ -92,12 +92,9 @@ def _cmd_test(args) -> int:
                     f"{args.points}: shape rows need an even column count of at "
                     f"least 6 (x1,y1,...), got {rows.shape[1]}"
                 )
-            points = PointSet.shape(rows.reshape(rows.shape[0], -1, 2))
-        elif args.metric == "sphere":
-            points = PointSet.sphere(rows)
-        else:
-            points = PointSet.euclidean(rows)
-        d = distances_for(points, "geodesic" if args.metric == "sphere" else "euclidean")
+            rows = rows.reshape(rows.shape[0], -1, 2)
+        # every point set is measured under its own metric; sphere rows along the sphere
+        d = distances_for(PointSet(args.metric, rows), "geodesic")
     if labels.n != d.n:
         raise SizeMismatch(
             f"{args.labels} holds {labels.n} labels but the point source holds "
@@ -138,8 +135,6 @@ def _cmd_simulate(args) -> int:
     flags = dict(reps=args.reps, permutations=args.permutations, seed=args.seed, alpha=args.alpha)
     obj.update((key, value) for key, value in flags.items() if value is not None)
     grid = fileio.grid_from_dict(obj)
-    if args.threads < 1:
-        raise InvalidSpec(f"--threads must be >= 1, got {args.threads}")
     if args.output is not None:
         fileio.check_output_path(args.output, args.grid)
     report = run_grid(grid, threads=args.threads)

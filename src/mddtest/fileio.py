@@ -254,7 +254,7 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
                "number": (int, float), "boolean": bool, "null": type(None)}
 _SCHEMA_KEYWORDS = {
     "type", "const", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
-    "required", "properties", "additionalProperties", "items", "oneOf",
+    "required", "properties", "additionalProperties", "items",
     "$schema", "$id", "$comment", "title",
 }
 
@@ -302,14 +302,6 @@ def _check_schema(value, schema: dict, pointer: str) -> None:
     if "items" in schema:
         for i, item in enumerate(value):
             _check_schema(item, schema["items"], f"{pointer}/{i}")
-    if "oneOf" in schema:
-        matches = 0
-        for option in schema["oneOf"]:
-            with contextlib.suppress(GridConfigError):
-                _check_schema(value, option, pointer)
-                matches += 1
-        if matches != 1:
-            raise GridConfigError(f"{where}: matches {matches} of the oneOf forms, not one")
 
 
 def validate_result_dict(obj) -> None:

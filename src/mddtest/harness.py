@@ -72,8 +72,8 @@ class ExperimentGrid:
                 )
             if "hhg" in self.tests and spec.n < 3:
                 raise InvalidSpec(f"cell {index} has n = {spec.n}, but hhg needs n >= 3")
-        if self.seed < 0:
-            raise InvalidSpec(f"the master seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidSpec(f"the master seed must lie in [0, 2**64), got {self.seed}")
         if self.sphere_metric not in SPHERE_METRICS:
             raise InvalidSpec(
                 f"sphere_metric must be one of {SPHERE_METRICS}, got {self.sphere_metric!r}"
@@ -210,6 +210,8 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
     processes, at most one per task and per usable CPU; aggregation is by task
     index, so the thread count never changes the report.
     """
+    if threads < 1:
+        raise InvalidSpec(f"threads must be >= 1, got {threads}")
     start = time.perf_counter()
     tasks = [(grid, i, rep) for i in range(len(grid.cells)) for rep in range(grid.reps)]
     # the CPUs this process may run on: affinity can leave fewer than the machine has

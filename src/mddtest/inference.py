@@ -45,9 +45,6 @@ DEFAULT_PERMUTATIONS = 499
 MIN_SCALING_REPS = 20
 MIN_CLT_REPS = 100
 
-BatchStatistic = Callable[[np.ndarray], np.ndarray]  # (m, n) codings -> m keys
-
-
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one permutation test.
@@ -121,66 +118,58 @@ def pvalue_from_null(observed, null: np.ndarray) -> float:
     return (1 + ge) / (b + 1)
 
 
-def _permutation_null(statistic: BatchStatistic, codes: np.ndarray, perms: np.ndarray) -> float:
-    """The p-value of the observed coding over ``perms``, all scored in one batch."""
-    keys = statistic(np.vstack([codes, codes[perms]]))
-    return pvalue_from_null(keys[0], keys[1:])
-
-
-def _mdd_keys(ranks: RankStructure, labels: LabelVector) -> BatchStatistic:
+def _mdd_keys(d: DistanceMatrix, ranks, labels: LabelVector, codings: np.ndarray) -> np.ndarray:
     """Exact MDD keys ``sum_r q_r * lcm(n_1..n_R) / n_r`` of codings.
 
     ``q_r = z_r' K z_r`` are the class forms of the ball kernel; the
     statistic increases with the key.  Keys are Python ints, because the
     weighted sum can overflow int64, so any split of a batch keeps them.
     """
-    _check_sizes(ranks.n, labels)
-    kernel = _ball_kernel(ranks)
+    built = ranks()
+    _check_sizes(built.n, labels)
+    kernel = _ball_kernel(built)
     counts = labels.counts.tolist()
     weights = np.array([math.lcm(*counts) // c for c in counts], dtype=object)
-    return lambda codings: (
-        _class_forms(kernel, codings, labels.num_classes).astype(np.int64).astype(object)
-        @ weights
-    )
+    forms = _class_forms(kernel, codings, labels.num_classes)
+    return forms.astype(np.int64).astype(object) @ weights
 
 
-def _dcov_keys(d: DistanceMatrix, labels: LabelVector) -> BatchStatistic:
+def _dcov_keys(d: DistanceMatrix, ranks, labels: LabelVector, codings: np.ndarray) -> np.ndarray:
     """Keys ``-sum_r z_r' A z_r = n^2 dcov`` of codings, ``A`` the double-centred
     distances.  The float class forms are summed in sorted order, so relabelling
     a partition's classes keeps a key's bits; splitting a batch keeps them only
     along the chunks of ``_class_forms``."""
-    a = double_center(d.values)
-    return lambda codings: -np.sort(
-        _class_forms(a, codings, labels.num_classes), axis=1
-    ).sum(axis=1)
+    forms = _class_forms(double_center(d.values), codings, labels.num_classes)
+    return -np.sort(forms, axis=1).sum(axis=1)
 
 
-def _hhg_keys(ranks: RankStructure, labels: LabelVector) -> BatchStatistic:
+def _hhg_keys(d: DistanceMatrix, ranks, labels: LabelVector, codings: np.ndarray) -> np.ndarray:
     """HHG statistics of codings; each is summed on its own, so any split of
     a batch keeps its bits."""
-    return lambda codings: hhg_statistic_discrete(ranks, codings, labels.counts)
+    return hhg_statistic_discrete(ranks(), codings, labels.counts)
 
 
-# test name -> key builder (d, ranks, labels); ranks() builds the rank arrays once
-NULL_KEYS = {
-    "mdd": lambda d, ranks, labels: _mdd_keys(ranks(), labels),
-    "dcov": lambda d, ranks, labels: _dcov_keys(d, labels),
-    "hhg": lambda d, ranks, labels: _hhg_keys(ranks(), labels),
-}
+# test name -> keys (d, ranks, labels, codings); ranks() returns the rank arrays
+NULL_KEYS = {"mdd": _mdd_keys, "dcov": _dcov_keys, "hhg": _hhg_keys}
 
 
 def _null_pvalues(
-    d: DistanceMatrix, labels: LabelVector, tests: Sequence[str], permutations: int, seed: int
+    d: DistanceMatrix | None, labels: LabelVector, tests: Sequence[str], permutations: int,
+    seed: int, ranks: RankStructure | None = None,
 ) -> dict[str, float]:
     """p-values of ``tests`` on one dataset over one draw of permutations.  The
-    rank arrays are built only if a test needs them, and the keys one test at a
-    time, so one test's n^2 key array is live at once."""
-    perms = draw_label_permutations(d.n, permutations, seed)
-    ranks = functools.cache(lambda: build_ranks(d))
-    return {
-        test: _permutation_null(NULL_KEYS[test](d, ranks, labels), labels.codes, perms)
-        for test in tests
-    }
+    batch of the observed coding and its permuted codings is built once, and the
+    permutations are freed before any key.  Unless given, the rank arrays are
+    built only if a test needs them; one test's n^2 key arrays are live at once."""
+    perms = draw_label_permutations(labels.n, permutations, seed)
+    codings = np.vstack([labels.codes, labels.codes[perms]])
+    del perms
+    built = functools.cache(lambda: build_ranks(d) if ranks is None else ranks)
+    out = {}
+    for test in tests:
+        keys = NULL_KEYS[test](d, built, labels, codings)
+        out[test] = pvalue_from_null(keys[0], keys[1:])
+    return out
 
 
 def permutation_test(
@@ -191,13 +180,12 @@ def permutation_test(
 ) -> TestResult:
     """Permutation test of the MDD statistic against label exchange.
 
-    The reported statistic and per-class terms come from ``estimate_fast``.
-    A permutation count below 1, a seed outside [0, 2^64) and more than
-    ``MAX_EXACT_N`` observations are rejected before any n^2 work.
-    Inputs are never mutated; the same seed gives bit-identical results.
+    The p-value comes from ``_null_pvalues``, the statistic and per-class
+    terms from ``estimate_fast``.  A permutation count below 1, a seed outside
+    [0, 2^64) and more than ``MAX_EXACT_N`` observations are rejected before
+    any n^2 work.  Inputs are never mutated; the same seed gives bit-identical results.
     """
     check_permutation_settings(permutations, seed)
-    statistic = _mdd_keys(ranks, labels)
     if seed is None:
         seed = fresh_seed()
     if labels.num_classes == 1:
@@ -206,10 +194,7 @@ def permutation_test(
             "and the permutation p-value is 1",
             DegenerateLabelsWarning,
         )
-    perms = draw_label_permutations(labels.n, permutations, seed)
-    p_value = _permutation_null(statistic, labels.codes, perms)
-    # the kernel and the permutations are n^2 and B*n arrays: free them first
-    del statistic, perms
+    p_value = _null_pvalues(None, labels, ("mdd",), permutations, seed, ranks)["mdd"]
     est = estimate_fast(ranks, labels)
     return TestResult(
         statistic=est.value,

@@ -672,6 +672,16 @@ def test_simulate_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_master_seed_outside_64_bits_exits_2(capsys):
+    # SeedSequence would take a wider seed, but the documented range is [0, 2**64)
+    rc = main([
+        "simulate", "--preset", "table4", "--reps", "1", "--permutations", "9",
+        "--seed", str(2**64),
+    ])
+    assert rc == 2
+    assert f"seed must lie in [0, 2**64), got {2**64}" in capsys.readouterr().err
+
+
 def test_simulate_rejects_repeated_tests_before_running(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main([

@@ -33,6 +33,7 @@ from mddtest import (
     sphere_distances,
     unit_sphere_embedding,
 )
+from mddtest import harness
 from mddtest.fileio import dump_json, grid_from_dict, read_preset
 from mddtest.harness import _cell_seeds, _run_replicate
 from mddtest.inference import _null_pvalues
@@ -267,6 +268,16 @@ def test_experiment_grid_validation():
     grid = ExperimentGrid(cells=(cell, pair), tests=("mdd", "dcov"))
     with pytest.raises(InvalidSpec, match="cell 1 has n = 2, but hhg needs n >= 3"):
         replace(grid, tests=("mdd", "hhg"))
+
+
+def test_run_grid_refuses_fewer_than_one_thread_before_any_replicate(monkeypatch):
+    def refused(task):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "_run_replicate", refused)
+    for threads in (0, -1):
+        with pytest.raises(InvalidSpec, match=f"threads must be >= 1, got {threads}"):
+            run_grid(small_grid(), threads=threads)
 
 
 def test_run_grid_clamps_workers_to_tasks_and_cpus(monkeypatch):

@@ -202,6 +202,16 @@ def test_a_dcov_only_null_builds_no_rank_arrays(monkeypatch):
             _null_pvalues(d, labels, ("dcov", test), 19, 2)
 
 
+def test_permutation_test_frees_the_permutations_before_scoring():
+    n = 500
+    rng = np.random.default_rng(3)
+    ranks = build_ranks(random_distances(rng, n))
+    labels = random_labels(rng, n, 5)
+    # the coding batch, the kernel build and the class forms; keeping the
+    # 499 x n permutation rows beside the batch would add 8 bytes per entry
+    assert traced_bytes_per_entry(n, permutation_test, ranks, labels, 499, 0) <= 28
+
+
 def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeypatch, capsys):
     n = MAX_EXACT_N + 1
     stand_in = RankStructure(order=None, sorted_counts=None, n=n)
