@@ -10,13 +10,7 @@ strictly increasing transforms of the distances.  Inference is by
 label permutation.
 """
 
-from .baselines import (
-    dcov_statistic,
-    discrete_label_distances,
-    double_center,
-    hhg_statistic,
-    hhg_statistic_discrete,
-)
+from .baselines import double_center, hhg_statistic_discrete
 from .errors import (
     AsymmetricMatrix,
     CsvFormatError,
@@ -124,8 +118,6 @@ __all__ = [
     "bh_adjust",
     "build_ranks",
     "clt_diagnostic",
-    "dcov_statistic",
-    "discrete_label_distances",
     "double_center",
     "distances_for",
     "draw_label_permutations",
@@ -138,7 +130,6 @@ __all__ = [
     "gen_sphere_coords",
     "gen_vmf",
     "generate",
-    "hhg_statistic",
     "hhg_statistic_discrete",
     "label_proportions",
     "load_precomputed",

@@ -1,10 +1,11 @@
-"""Reference competitors: distance covariance and the pairwise 2x2
-chi-square test, adapted to a categorical second variable.
+"""Building blocks of the reference competitors: distance covariance and
+the pairwise 2x2 chi-square test (HHG), adapted to a categorical second
+variable.
 
 Categorical labels enter through the discrete metric
-``d(y_i, y_j) = I(y_i != y_j)``, so both statistics accept ordinary
-distance matrices on each side and plug into the shared label
-permutation machinery.
+``d(y_i, y_j) = I(y_i != y_j)``.  ``inference`` scores whole batches of
+label codings with :func:`double_center` (dCov) and
+:func:`hhg_statistic_discrete` (HHG).
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidLabels, SizeMismatch, TooFewSamples
-from .estimator import _CHUNK, LabelVector, RankStructure
-from .metrics import DistanceMatrix
-
-
-def discrete_label_distances(labels: LabelVector) -> DistanceMatrix:
-    """The 0/1 discrete metric on label codes."""
-    codes = labels.codes
-    out = (codes[:, None] != codes[None, :]).astype(np.float64)
-    return DistanceMatrix._from_fresh(out)
+from .estimator import _CHUNK, RankStructure
 
 
 def double_center(values: np.ndarray) -> np.ndarray:
@@ -29,19 +22,6 @@ def double_center(values: np.ndarray) -> np.ndarray:
     mu_cols = values.mean(axis=0, keepdims=True)
     mu = values.mean()
     return values - mu_rows - mu_cols + mu
-
-
-def dcov_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
-    """Squared distance covariance, V-statistic form.
-
-    The mean of the elementwise product of the two double-centred
-    distance matrices, ``(1/n^2) sum_{ij} A_ij B_ij``.
-    """
-    if dx.n != dy.n:
-        raise SizeMismatch(f"distance matrices disagree: {dx.n} vs {dy.n}")
-    a = double_center(dx.values)
-    b = double_center(dy.values)
-    return float(np.mean(a * b))
 
 
 def _chi_squares(n11, r1, c1, m):
@@ -66,44 +46,18 @@ def _chi_squares(n11, r1, c1, m):
     return num
 
 
-def hhg_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
-    """Sum of pairwise 2x2 chi-square statistics.
+def hhg_statistic_discrete(
+    ranks: RankStructure, codings: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Sums of pairwise 2x2 chi-square statistics when the second
+    variable's metric is the discrete one.
 
     For each ordered pair ``(i, j)`` with ``i != j`` the remaining
     ``n - 2`` observations are cross-classified by
-    ``I(d_x(i, k) <= d_x(i, j))`` and ``I(d_y(i, k) <= d_y(i, j))``;
-    the Pearson chi-squares of those tables are summed.
-    """
-    if dx.n != dy.n:
-        raise SizeMismatch(f"distance matrices disagree: {dx.n} vs {dy.n}")
-    n = dx.n
-    if n < 3:
-        raise TooFewSamples(f"pairwise chi-square needs n >= 3, got {n}")
-    m = n - 2
-    total = 0.0
-    for i in range(n):
-        a = dx.values[i]
-        b = dy.values[i]
-        in_x = a[None, :] <= a[:, None]
-        in_y = b[None, :] <= b[:, None]
-        # k = i and k = j always satisfy both memberships, so dropping
-        # them removes exactly 2 from each count.
-        n11 = (in_x & in_y).sum(axis=1) - 2
-        r1 = in_x.sum(axis=1) - 2
-        c1 = in_y.sum(axis=1) - 2
-        keep = np.ones(n, dtype=bool)
-        keep[i] = False
-        total += float(_chi_squares(n11[keep], r1[keep], c1[keep], m).sum())
-    return total
-
-
-def hhg_statistic_discrete(
-    ranks: RankStructure, codes: np.ndarray, counts: np.ndarray
-) -> float | np.ndarray:
-    """Fast path of :func:`hhg_statistic` when ``dy`` is the discrete metric.
-
-    ``codes`` is one coding, which gives a float, or an ``(m, n)`` batch
-    of codings, which gives ``m`` values; every coding must hold
+    ``I(d(i, k) <= d(i, j))`` and ``I(d_y(i, k) <= d_y(i, j))``, with
+    ``d_y`` the discrete metric on the labels; the Pearson
+    chi-squares of those tables are summed.  ``codings`` is an ``(m, n)``
+    batch, which gives ``m`` float64 values; every coding must hold
     ``counts[r]`` observations of class ``r``.
 
     Under the discrete metric only ordered pairs with ``y_i == y_j``
@@ -117,16 +71,14 @@ def hhg_statistic_discrete(
     call, every run has length one and ``a`` is the sorted position plus
     one, so the run ends are never built.  Terms are summed centre by
     centre in ascending distance, class by class, so every coding gets
-    the bits of a call on it alone.  Each table's chi-square matches the
-    general routine exactly (the grand total differs only by float
-    summation order).
+    the bits of a batch of one.
     """
     n = ranks.n
     if n < 3:
         raise TooFewSamples(f"pairwise chi-square needs n >= 3, got {n}")
-    codings = np.atleast_2d(codes)
-    if codings.shape[1] != n:
-        raise SizeMismatch(f"codings have {codings.shape[1]} entries, ranks have {n}")
+    codings = np.asarray(codings)
+    if codings.ndim != 2 or codings.shape[1] != n:
+        raise SizeMismatch(f"codings must be an (m, {n}) batch, got shape {codings.shape}")
     sizes = [int(c) for c in counts]
     if sum(sizes) != n:
         raise InvalidLabels(f"class counts sum to {sum(sizes)}, not n = {n}")
@@ -171,4 +123,4 @@ def hhg_statistic_discrete(
                 ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
                 index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
             total[start:start + step] += table[index].reshape(len(block), -1).sum(axis=1)
-    return float(total[0]) if np.ndim(codes) == 1 else total
+    return total

@@ -38,8 +38,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument(
         "--metric",
         choices=("euclidean", "sphere", "shape"),
-        default="euclidean",
-        help="how to read --points (shape expects 2L columns x1,y1,...,xL,yL)",
+        default=None,
+        help="how to read --points: euclidean (the default), sphere, or shape "
+        "(2L columns x1,y1,...,xL,yL)",
     )
     p_test.add_argument("--labels", required=True, help="CSV holding the class labels")
     p_test.add_argument("--label-column", type=int, default=0)
@@ -76,6 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_test(args) -> int:
+    if args.matrix is not None and args.metric is not None:
+        raise InvalidSpec("--metric applies to --points only; a --matrix is read as given")
     check_permutation_settings(args.permutations, args.seed)
     fileio.check_output_path(args.output, args.matrix, args.points, args.labels)
     raw_labels = fileio.load_labels_csv(
@@ -94,7 +97,7 @@ def _cmd_test(args) -> int:
                 )
             rows = rows.reshape(rows.shape[0], -1, 2)
         # every point set is measured under its own metric; sphere rows along the sphere
-        d = distances_for(PointSet(args.metric, rows), "geodesic")
+        d = distances_for(PointSet(args.metric or "euclidean", rows), "geodesic")
     if labels.n != d.n:
         raise SizeMismatch(
             f"{args.labels} holds {labels.n} labels but the point source holds "

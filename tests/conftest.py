@@ -1,5 +1,5 @@
-"""Shared helpers: random instances and an exact rational reference
-evaluation of the statistic."""
+"""Shared helpers: random instances, an exact rational reference
+evaluation of the statistic, and a two-matrix distance covariance oracle."""
 
 import os
 import subprocess
@@ -12,8 +12,11 @@ import numpy as np
 
 import mddtest
 from mddtest import (
+    DistanceMatrix,
     LabelVector,
     PointSet,
+    SizeMismatch,
+    double_center,
     euclidean_distances,
     shape_distances,
     sphere_distances,
@@ -82,3 +85,23 @@ def exact_statistic(values, codes, R):
                 acc += (f_r - f_all) ** 2
         per_class.append(Fraction(counts[r], n) * acc / n**2)
     return sum(per_class), per_class
+
+
+def discrete_label_distances(labels: LabelVector) -> DistanceMatrix:
+    """The 0/1 discrete metric on label codes."""
+    codes = labels.codes
+    out = (codes[:, None] != codes[None, :]).astype(np.float64)
+    return DistanceMatrix._from_fresh(out)
+
+
+def dcov_statistic(dx: DistanceMatrix, dy: DistanceMatrix) -> float:
+    """Squared distance covariance, V-statistic form.
+
+    The mean of the elementwise product of the two double-centred
+    distance matrices, ``(1/n^2) sum_{ij} A_ij B_ij``.
+    """
+    if dx.n != dy.n:
+        raise SizeMismatch(f"distance matrices disagree: {dx.n} vs {dy.n}")
+    a = double_center(dx.values)
+    b = double_center(dy.values)
+    return float(np.mean(a * b))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_distances, random_labels
+from conftest import dcov_statistic, discrete_label_distances, random_distances, random_labels
 
 from mddtest import (
     DistanceMatrix,
@@ -10,10 +10,7 @@ from mddtest import (
     SizeMismatch,
     TooFewSamples,
     build_ranks,
-    dcov_statistic,
-    discrete_label_distances,
     double_center,
-    hhg_statistic,
     hhg_statistic_discrete,
 )
 from mddtest.inference import _null_pvalues
@@ -158,17 +155,6 @@ def hhg_discrete_loop(ranks, codes, counts):
     return total
 
 
-def test_hhg_matches_loop_oracle():
-    rng = np.random.default_rng(6)
-    for trial in range(5):
-        n = int(rng.integers(5, 11))
-        dx = random_distances(rng, n, ties=(trial % 2 == 0))
-        dy = random_distances(rng, n)
-        got = hhg_statistic(dx, dy)
-        want = hhg_loops(dx.values.tolist(), dy.values.tolist())
-        assert isinstance(got, float) and abs(got - want) <= 1e-10 * (1.0 + abs(want))
-
-
 def test_hhg_discrete_fast_path_matches_general():
     rng = np.random.default_rng(7)
     for trial in range(6):
@@ -176,9 +162,20 @@ def test_hhg_discrete_fast_path_matches_general():
         R = int(rng.integers(2, 5))
         dx = random_distances(rng, n, ties=(trial % 2 == 0))
         labels = random_labels(rng, n, R)
-        general = hhg_statistic(dx, discrete_label_distances(labels))
-        fast = hhg_statistic_discrete(build_ranks(dx), labels.codes, labels.counts)
-        assert abs(general - fast) <= 1e-10 * (1.0 + abs(general))
+        dy = discrete_label_distances(labels)
+        want = hhg_loops(dx.values.tolist(), dy.values.tolist())
+        (fast,) = hhg_statistic_discrete(build_ranks(dx), labels.codes[None], labels.counts)
+        assert abs(want - fast) <= 1e-10 * (1.0 + abs(want))
+
+
+def _batch_matches_oracle(ranks, codes, rng, permutations=100):
+    counts = np.bincount(codes)
+    batch = np.array([codes] + [rng.permutation(codes) for _ in range(permutations)])
+    want = np.array([hhg_discrete_loop(ranks, c, counts) for c in batch])
+    got = hhg_statistic_discrete(ranks, batch, counts)
+    # a batch of one gets the bits of its row in the full batch
+    ones = np.concatenate([hhg_statistic_discrete(ranks, c[None], counts) for c in batch])
+    return got.dtype == np.float64 and np.array_equal(got, want) and np.array_equal(ones, want)
 
 
 def test_hhg_discrete_batch_is_bitwise_the_per_coding_oracle():
@@ -195,22 +192,7 @@ def test_hhg_discrete_batch_is_bitwise_the_per_coding_oracle():
     # class rows longer than one chunk and than numpy's 8192-element blocks
     cases.append((random_distances(rng, 200), np.arange(200) % 2))
     for dx, codes in cases:
-        ranks = build_ranks(dx)
-        counts = np.bincount(codes)
-        batch = np.array([codes] + [rng.permutation(codes) for _ in range(7)])
-        want = np.array([hhg_discrete_loop(ranks, c, counts) for c in batch])
-        got = hhg_statistic_discrete(ranks, batch, counts)
-        assert got.dtype == np.float64 and np.array_equal(got, want)
-        for c, value in zip(batch, want):
-            single = hhg_statistic_discrete(ranks, c, counts)
-            assert isinstance(single, float) and single == value
-
-
-def _batch_matches_oracle(ranks, codes, rng, permutations=100):
-    counts = np.bincount(codes)
-    batch = np.array([codes] + [rng.permutation(codes) for _ in range(permutations)])
-    want = np.array([hhg_discrete_loop(ranks, c, counts) for c in batch])
-    return np.array_equal(hhg_statistic_discrete(ranks, batch, counts), want)
+        assert _batch_matches_oracle(build_ranks(dx), codes, rng, 7)
 
 
 def test_hhg_discrete_tie_free_batch_is_bitwise_the_oracle():
@@ -243,43 +225,32 @@ def test_hhg_discrete_rejects_codes_that_disagree_with_counts():
     ranks = build_ranks(random_distances(np.random.default_rng(13), 8))
     codes = np.array([0, 0, 0, 1, 1, 1, 1, 1])
     for counts in ([4, 4], [5, 3], [3, 4], [3, 4, 1]):
-        for given in (codes, np.vstack([codes, codes[::-1]])):
+        for given in (codes[None], np.vstack([codes, codes[::-1]])):
             with pytest.raises(InvalidLabels):
                 hhg_statistic_discrete(ranks, given, np.array(counts))
     with pytest.raises(InvalidLabels):
-        hhg_statistic_discrete(ranks, np.array([0, 0, 0, 1, 1, 1, 1, 2]), np.array([3, 5]))
+        hhg_statistic_discrete(ranks, np.array([[0, 0, 0, 1, 1, 1, 1, 2]]), np.array([3, 5]))
 
 
 def test_hhg_single_class_is_zero():
     rng = np.random.default_rng(8)
     dx = random_distances(rng, 7)
     labels = LabelVector.from_codes(np.zeros(7, dtype=np.int64))
-    assert hhg_statistic(dx, discrete_label_distances(labels)) == 0.0
-    assert hhg_statistic_discrete(build_ranks(dx), labels.codes, labels.counts) == 0.0
-
-
-def test_hhg_monotone_transform_invariance():
-    rng = np.random.default_rng(9)
-    dx = random_distances(rng, 10)
-    labels = random_labels(rng, 10, 2)
-    dy = discrete_label_distances(labels)
-    base = hhg_statistic(dx, dy)
-    assert hhg_statistic(DistanceMatrix(np.square(dx.values)), dy) == base
+    assert hhg_statistic_discrete(build_ranks(dx), labels.codes[None], labels.counts) == [0.0]
 
 
 def test_baseline_size_checks():
     rng = np.random.default_rng(10)
-    dx = random_distances(rng, 5)
-    dy = discrete_label_distances(random_labels(rng, 4, 2))
-    with pytest.raises(SizeMismatch):
-        dcov_statistic(dx, dy)
-    with pytest.raises(SizeMismatch):
-        hhg_statistic(dx, dy)
-    short = DistanceMatrix(np.zeros((2, 2)))
+    ranks = build_ranks(random_distances(rng, 5))
+    codes = np.array([0, 0, 1, 1, 1])
+    # a single 1-d coding, a batch of the wrong width and a 3-d stack
+    for given in (codes, codes[None, :4], codes[None, None]):
+        with pytest.raises(SizeMismatch):
+            hhg_statistic_discrete(ranks, given, np.array([2, 3]))
+    want = hhg_statistic_discrete(ranks, codes[None], np.array([2, 3]))
+    assert np.array_equal(hhg_statistic_discrete(ranks, [codes.tolist()], [2, 3]), want)
     with pytest.raises(TooFewSamples):
-        hhg_statistic(short, short)
-    with pytest.raises(TooFewSamples):
-        hhg_statistic_discrete(build_ranks(short), np.array([0, 1]), np.array([1, 1]))
+        hhg_statistic_discrete(build_ranks(DistanceMatrix(np.zeros((2, 2)))), [[0, 1]], [1, 1])
 
 
 def test_baselines_detect_strong_dependence():

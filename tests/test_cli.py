@@ -130,23 +130,18 @@ def test_test_command_output_formats(two_point_files, tmp_path, capsys):
 def test_test_command_exit_codes(tmp_path, capsys):
     labels = write(tmp_path / "l.csv", "0\n1\n")
     # unreadable input
-    rc = main(["test", "--points", str(tmp_path / "none.csv"), "--labels", labels])
-    assert rc == 2
+    assert main(["test", "--points", str(tmp_path / "none.csv"), "--labels", labels]) == 2
     # metric violation in a precomputed matrix
     bad = write(tmp_path / "asym.csv", "0,1\n2,0\n")
-    rc = main(["test", "--matrix", bad, "--labels", labels])
-    assert rc == 3
+    assert main(["test", "--matrix", bad, "--labels", labels]) == 3
     # label count disagrees with the point count
     points = write(tmp_path / "p.csv", "0\n1\n2\n")
-    rc = main(["test", "--points", points, "--labels", labels])
-    assert rc == 2
+    assert main(["test", "--points", points, "--labels", labels]) == 2
     # shape rows need an even column count of at least six
     odd = write(tmp_path / "odd.csv", "0,0,1,0,2\n0,0,1,0,3\n")
-    rc = main(["test", "--points", odd, "--metric", "shape", "--labels", labels])
-    assert rc == 2
+    assert main(["test", "--points", odd, "--metric", "shape", "--labels", labels]) == 2
     four = write(tmp_path / "four.csv", "0,0,1,0\n0,0,1,1\n")
-    rc = main(["test", "--points", four, "--metric", "shape", "--labels", labels])
-    assert rc == 2
+    assert main(["test", "--points", four, "--metric", "shape", "--labels", labels]) == 2
     # undecodable text and a field beyond the csv module's limit
     latin = tmp_path / "latin.csv"
     latin.write_bytes(b"\xff\xfe0,1\n1,0\n")
@@ -155,6 +150,13 @@ def test_test_command_exit_codes(tmp_path, capsys):
         assert main(["test", "--matrix", source, "--labels", labels]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # no metric applies to a precomputed matrix: refused before anything is read
+    matrix, out = write(tmp_path / "m.csv", "0,1\n1,0\n"), tmp_path / "r.json"
+    for metric in ("euclidean", "sphere", "shape"):
+        argv = ["test", "--matrix", matrix, "--metric", metric, "--labels", labels]
+        assert main(argv + ["--output", str(out)]) == 2 and not out.exists(), metric
+        err = capsys.readouterr().err
+        assert "--metric" in err and "--matrix" in err
 
 
 def test_out_of_memory_exits_2_not_as_internal_error(
@@ -673,13 +675,12 @@ def test_simulate_error_exits(tmp_path, capsys):
 
 
 def test_simulate_master_seed_outside_64_bits_exits_2(capsys):
-    # SeedSequence would take a wider seed, but the documented range is [0, 2**64)
-    rc = main([
-        "simulate", "--preset", "table4", "--reps", "1", "--permutations", "9",
-        "--seed", str(2**64),
-    ])
-    assert rc == 2
-    assert f"seed must lie in [0, 2**64), got {2**64}" in capsys.readouterr().err
+    # SeedSequence would take a wider seed, but the documented range is [0, 2**64),
+    # and the grid schema states both of its ends
+    for seed, message in ((2**64, f"is above {2**64 - 1}"), (-1, "is below 0")):
+        argv = ["simulate", "--preset", "table4", "--reps", "1", "--permutations", "9"]
+        assert main(argv + ["--seed", str(seed)]) == 2
+        assert f"/seed: {seed} {message}" in capsys.readouterr().err
 
 
 def test_simulate_rejects_repeated_tests_before_running(tmp_path, capsys):

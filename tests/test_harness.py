@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import dcov_statistic, discrete_label_distances, run_python
 from test_baselines import hhg_discrete_loop
 
 from mddtest import (
@@ -19,8 +19,6 @@ from mddtest import (
     ScenarioSpec,
     TableReport,
     build_ranks,
-    dcov_statistic,
-    discrete_label_distances,
     distances_for,
     draw_label_permutations,
     estimate_fast,
