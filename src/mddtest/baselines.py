@@ -96,8 +96,6 @@ def hhg_statistic_discrete(
         r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
         table = _chi_squares(n11, r1, size - 2, n - 2).ravel()
         run_end = np.arange(1, size + 1, dtype=np.int32)
-        # without ties sorted position t ends its own run: a = t + 1
-        offsets = run_end[1:] * np.int32(n + 1)
         # a quarter of a class-form chunk keeps the int32 and float64
         # temporaries of one chunk near 1 MB
         step = max(1, (_CHUNK >> 2) // (size * size))
@@ -111,16 +109,16 @@ def hhg_statistic_discrete(
             members = members.reshape(len(block), size).astype(np.int32)
             within = ball[members[:, :, None] * np.int32(n) + members[:, None, :]]
             within.sort(axis=2)
-            # sorted position 0 is the centre itself, at distance 0
-            if tie_free:
-                index = within[..., 1:] + offsets
-            else:
+            # without ties sorted position t ends its own run: a = t + 1
+            ends = run_end
+            if not tie_free:
                 # a is the end of the run of equal ball counts, found where
                 # the next count differs
                 last = np.ones(within.shape, dtype=bool)
                 np.not_equal(within[..., 1:], within[..., :-1], out=last[..., :-1])
                 ends = np.where(last, run_end, np.int32(size))
                 ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
-                index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
+            # sorted position 0 is the centre itself, at distance 0
+            index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
             total[start:start + step] += table[index].reshape(len(block), -1).sum(axis=1)
     return total

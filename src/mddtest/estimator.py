@@ -30,8 +30,8 @@ indicator and ``K[k, l]`` the number of balls holding both ``k`` and
 ``l``, the statistic is ``sum_r z_r' K z_r / (n_r n^3)`` minus a term
 that permutations leave unchanged; ``K`` costs O(n^3) once per dataset.
 It is built from one int16 ``n x n`` matrix ``U`` of per-row ball counts,
-tile by tile in int32, into the float64 ``K`` the matrix products read:
-10 bytes per entry.
+strip by strip in int32, into the float64 ``K`` the matrix products read:
+10 bytes per entry, plus one strip's int16 scratch of 2 KiB per observation.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from .metrics import DistanceMatrix
 
 MAX_EXACT_N = 9741  # class forms z_r' K z_r <= n^4 are exact in float64
 _CHUNK = 1 << 17  # indicator entries per matrix product; n^2 entries per row block
-# ball-kernel tiles: 16 x 128 x 128 int16 scratch is 512 KiB, within L2
-_TILE = 128
+_TILE = 64  # ball-kernel strip width: timed faster than 128 from n = 500, at half the scratch
 _TILE_ROWS = 16
 
 
@@ -247,9 +246,10 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     along a row, so a reversed running minimum over the run ends reads
     it.  When no row holds a tie, every position ends its run
     (``sorted_counts`` is ``t + 1`` throughout), so that read, which
-    would change nothing, is skipped.  At a run end the class counts add
-    up to ``sorted_counts``, so the last class's count is what the
-    others leave in ``rest``.  One n^2 float64 ``diff`` serves every
+    would change nothing, is skipped, and every row subtracts the same
+    ``(t + 1) / n``.  At a run end the class counts add up to
+    ``sorted_counts``, so the last class's count is what the others
+    leave in ``rest``.  One n^2 float64 ``diff`` serves every
     class, and each class sums all of it in one call, so the blocks
     change no bit and repeated calls are bit-identical; they agree with
     :func:`estimate_naive` to within accumulation-order rounding (at
@@ -260,6 +260,8 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     last = labels.num_classes - 1
     blocks = _row_blocks(n)
     counts = ranks.sorted_counts
+    positions = np.arange(1, n + 1, dtype=np.int32)
+    tied = not (counts == positions).all()
     rest = counts
     if last:
         codes = labels.codes.astype(np.min_scalar_type(last))
@@ -267,8 +269,6 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
         for rows in blocks:
             np.take(codes, ranks.order[rows], out=sorted_codes[rows])
         rest = np.empty((n, n), dtype=np.int32)
-        positions = np.arange(1, n + 1, dtype=np.int32)
-        tied = not (counts == positions).all()
     diff = np.empty((n, n))  # reused by every class, so one n^2 float64 is live
     sums = np.empty(labels.num_classes)
     for r in range(labels.num_classes):
@@ -283,7 +283,7 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
                 inside = rest[rows]
             np.divide(inside, labels.counts[r], out=diff[rows])
             del inside
-            diff[rows] -= counts[rows] / n
+            diff[rows] -= counts[rows] / n if tied else positions / n
         sums[r] = float(np.einsum("ij,ij->", diff, diff))
     per_class = labels.proportions * sums / (n * n)
     return MddEstimate(
@@ -322,36 +322,32 @@ def _ball_kernel(ranks: RankStructure) -> np.ndarray:
 
     Every ``u_i`` is stored once as a row of one int16 matrix ``U``
     (``u <= n <= MAX_EXACT_N < 2^15``).  ``K`` is symmetric, so only its
-    upper ``_TILE x _TILE`` tiles are built, then mirrored.  A tile sums
-    ``_TILE_ROWS`` rows of ``U`` at a time in int16 over groups of
-    ``32767 // n >= 3`` rows, which cannot wrap, and adds each group
-    into int32.  Entries are at most ``n^2``, exact in int32 and in the
-    float64 ``K`` returned for BLAS; the build holds ``U`` and ``K``, 10
-    bytes per entry.
+    upper strips of ``_TILE`` rows, from the diagonal rightwards, are
+    built, then mirrored.  A strip takes the minima of ``rows =
+    min(_TILE_ROWS, 32767 // n)`` rows of ``U`` at a time and sums them
+    in int16, which cannot wrap since ``rows * n <= 32767``, into int32.
+    Entries are at most ``n^2``, exact in int32 and in the float64 ``K``
+    returned for BLAS, so any summation order gives the same bits.  The
+    build holds ``U`` and ``K``, 10 bytes per entry, and one strip's
+    int16 scratch of ``2 * _TILE_ROWS * _TILE * n`` bytes.
     """
     n = ranks.n
     if n > MAX_EXACT_N:
         raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {n}")
     u = _ball_counts(ranks)
-    group = np.iinfo(np.int16).max // n
+    rows = min(_TILE_ROWS, np.iinfo(np.int16).max // n)
     kernel = np.empty((n, n))
-    scratch = np.empty((_TILE_ROWS, _TILE, _TILE), dtype=np.int16)
     for a in range(0, n, _TILE):
         left = u[:, a:a + _TILE, None]
-        for b in range(a, n, _TILE):
-            right = u[:, None, b:b + _TILE]
-            tile = np.zeros((left.shape[1], right.shape[2]), dtype=np.int32)
-            partial = np.empty(tile.shape, dtype=np.int16)
-            for start in range(0, n, group):
-                end = min(start + group, n)
-                partial[:] = 0
-                for i in range(start, end, _TILE_ROWS):
-                    block = scratch[:min(_TILE_ROWS, end - i), :tile.shape[0], :tile.shape[1]]
-                    np.minimum(left[i:i + len(block)], right[i:i + len(block)], out=block)
-                    partial += block.sum(axis=0, dtype=np.int16)
-                tile += partial
-            kernel[a:a + tile.shape[0], b:b + tile.shape[1]] = tile
-            kernel[b:b + tile.shape[1], a:a + tile.shape[0]] = tile.T
+        right = u[:, None, a:]
+        strip = np.zeros((left.shape[1], n - a), dtype=np.int32)
+        scratch = np.empty((rows, *strip.shape), dtype=np.int16)
+        for i in range(0, n, rows):
+            block = scratch[:min(rows, n - i)]
+            np.minimum(left[i:i + rows], right[i:i + rows], out=block)
+            strip += block.sum(axis=0, dtype=np.int16)
+        kernel[a:a + len(strip), a:] = strip
+        kernel[a:, a:a + len(strip)] = strip.T
     return kernel
 
 

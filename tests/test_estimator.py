@@ -204,6 +204,14 @@ def test_ball_kernel_is_exact_where_an_int16_group_is_shorter_than_a_row_block()
     assert np.array_equal(kernel.sum(axis=1), ball_kernel_row_sums(u))
 
 
+def test_ball_kernel_holds_u_k_and_one_strip_of_scratch():
+    # U and K take 10 bytes per entry and one strip's int16 scratch 2 KiB
+    # per observation, 4 more at n = 500; a wider strip would pass 20
+    n = 500
+    ranks = build_ranks(random_distances(np.random.default_rng(71), n))
+    assert traced_bytes_per_entry(n, _ball_kernel, ranks) < 20
+
+
 def estimate_fast_per_class(ranks, labels):
     """Per-class oracle: every class, the last included, reads its own
     running count at the tie-run ends."""
