@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidLabels, SizeMismatch, TooFewSamples
-from .estimator import _CHUNK, RankStructure
+from .estimator import RankStructure
+from .metrics import _row_blocks
 
 
 def double_center(values: np.ndarray) -> np.ndarray:
@@ -96,11 +97,10 @@ def hhg_statistic_discrete(
         r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
         table = _chi_squares(n11, r1, size - 2, n - 2).ravel()
         run_end = np.arange(1, size + 1, dtype=np.int32)
-        # a quarter of a class-form chunk keeps the int32 and float64
-        # temporaries of one chunk near 1 MB
-        step = max(1, (_CHUNK >> 2) // (size * size))
-        for start in range(0, len(codings), step):
-            block = codings[start:start + step]
+        # 4 n_r^2 entries per coding keep the int32 and float64
+        # temporaries of one block near 1 MB
+        for rows in _row_blocks(len(codings), 4 * size * size):
+            block = codings[rows]
             members = np.nonzero(block == r)[1]
             if members.size != len(block) * size:
                 raise InvalidLabels(
@@ -120,5 +120,5 @@ def hhg_statistic_discrete(
                 ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
             # sorted position 0 is the centre itself, at distance 0
             index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
-            total[start:start + step] += table[index].reshape(len(block), -1).sum(axis=1)
+            total[rows] += table[index].reshape(len(block), -1).sum(axis=1)
     return total

@@ -41,10 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidLabels, InvalidSpec, SizeMismatch
-from .metrics import DistanceMatrix
+from .metrics import DistanceMatrix, _row_blocks
 
 MAX_EXACT_N = 9741  # class forms z_r' K z_r <= n^4 are exact in float64
-_CHUNK = 1 << 17  # indicator entries per matrix product; n^2 entries per row block
 _TILE = 64  # ball-kernel strip width: timed faster than 128 from n = 500, at half the scratch
 _TILE_ROWS = 16
 
@@ -198,13 +197,6 @@ def estimate_naive(d: DistanceMatrix, labels: LabelVector) -> MddEstimate:
     )
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """The row blocks of about ``_CHUNK`` entries that the n^2 passes
-    walk, so that their temporaries stay block-sized."""
-    step = max(1, _CHUNK // n)
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
 def build_ranks(d: DistanceMatrix) -> RankStructure:
     """Sort the matrix row-wise once and count each row's tie runs.
 
@@ -221,7 +213,7 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
     order = np.empty((n, n), dtype=np.int32)
     sorted_counts = np.empty((n, n), dtype=np.int32)
     positions = np.arange(1, n + 1, dtype=np.int32)
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         order[rows] = np.argsort(d.values[rows], axis=1)
         sorted_d = np.sort(d.values[rows], axis=1)
         counts = sorted_counts[rows]
@@ -258,7 +250,7 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     _check_sizes(ranks.n, labels)
     n = ranks.n
     last = labels.num_classes - 1
-    blocks = _row_blocks(n)
+    blocks = _row_blocks(n, n)
     counts = ranks.sorted_counts
     positions = np.arange(1, n + 1, dtype=np.int32)
     tied = not (counts == positions).all()
@@ -305,7 +297,7 @@ def _ball_counts(ranks: RankStructure) -> np.ndarray:
     n = ranks.n
     u = np.empty((n, n), dtype=np.int16)
     positions = np.arange(n, dtype=np.int32)
-    for rows in _row_blocks(n):
+    for rows in _row_blocks(n, n):
         counts = ranks.sorted_counts[rows]
         starts = np.zeros(counts.shape, dtype=np.int32)
         np.copyto(starts[:, 1:], positions[1:], where=counts[:, 1:] != counts[:, :-1])
@@ -354,15 +346,13 @@ def _ball_kernel(ranks: RankStructure) -> np.ndarray:
 def _class_forms(kernel: np.ndarray, codings: np.ndarray, num_classes: int) -> np.ndarray:
     """The ``(m, R)`` forms ``z_r' K z_r`` of each row of ``codings`` and class ``r``.
 
-    One matrix product per chunk of ``_CHUNK`` indicator entries; each form
-    sums its row in a fixed order, so equal indicators give equal bits.
+    One matrix product per row block of about ``_CHUNK`` indicator entries;
+    each form sums its row in a fixed order, so equal indicators give equal bits.
     """
     m, n = codings.shape
     classes = np.arange(num_classes)[:, None]
-    step = max(1, _CHUNK // (n * num_classes))
     out = np.empty((m, num_classes))
-    for start in range(0, m, step):
-        block = codings[start:start + step]
-        z = (block[:, None, :] == classes).reshape(-1, n).astype(np.float64)
-        out[start:start + step] = (z * (z @ kernel)).sum(axis=1).reshape(-1, num_classes)
+    for rows in _row_blocks(m, n * num_classes):
+        z = (codings[rows, None, :] == classes).reshape(-1, n).astype(np.float64)
+        out[rows] = (z * (z @ kernel)).sum(axis=1).reshape(-1, num_classes)
     return out

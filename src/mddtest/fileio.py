@@ -380,11 +380,10 @@ def preset_names() -> list[str]:
 
 
 def read_preset(name: str) -> dict:
-    """The parsed JSON of a bundled preset grid."""
+    """The parsed JSON of a bundled preset grid; ``name`` must be one of
+    :func:`preset_names`, never a path."""
+    names = preset_names()
+    if name not in names:
+        raise GridConfigError(f"unknown preset {name!r}; available: {', '.join(names)}")
     root = resources.files("mddtest").joinpath("presets")
-    candidate = root.joinpath(f"{name}.json")
-    if not candidate.is_file():
-        raise GridConfigError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        )
-    return json.loads(candidate.read_text("utf-8"))
+    return json.loads(root.joinpath(f"{name}.json").read_text("utf-8"))

@@ -5,7 +5,8 @@ metric, planar landmark configurations under the Riemannian shape
 metric, and user-supplied precomputed matrices.  Every constructor
 returns a :class:`DistanceMatrix` whose invariants are re-checked on
 construction: exact symmetry as stored, an exactly zero diagonal, and
-finite nonnegative entries.
+finite nonnegative entries.  Euclidean distances take 8 bytes per entry
+plus row-block temporaries of about ``16 * max(_CHUNK, n * dim)`` bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ DEGENERATE_SHAPE_TOL = 1e-12
 # smaller deviations are averaged away.
 SYMMETRY_TOL = 1e-9
 DIAGONAL_TOL = 1e-12
+_CHUNK = 1 << 17  # entries per row block of every n^2 pass
 
 POINT_KINDS = ("euclidean", "sphere", "shape")
 
@@ -148,6 +150,12 @@ class DistanceMatrix:
         object.__setattr__(self, "n", values.shape[0])
 
 
+def _row_blocks(count: int, width: int) -> list[slice]:
+    """Blocks of ``max(1, _CHUNK // width)`` of ``count`` rows ``width`` entries wide."""
+    step = max(1, _CHUNK // max(1, width))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def _require_kind(points: PointSet, kind: str) -> None:
     if points.kind != kind:
         raise ValueError(f"expected a {kind} point set, got {points.kind!r}")
@@ -156,21 +164,22 @@ def _require_kind(points: PointSet, kind: str) -> None:
 def euclidean_distances(points: PointSet) -> DistanceMatrix:
     """Pairwise Euclidean distances.
 
-    Each unordered pair is computed once and mirrored, so the result is
-    exactly symmetric as stored.
+    Every ordered pair, a row block at a time, sums the squares of
+    ``x_i - x_j``.  ``x_j - x_i`` is exactly ``-(x_i - x_j)``, so the result
+    is exactly symmetric as stored.  It takes 8 bytes per entry, and the
+    blocks about ``16 * max(_CHUNK, n * dim)`` bytes.
     """
     _require_kind(points, "euclidean")
     data = points.data
-    n = points.n
-    iu, ju = np.triu_indices(n, 1)
-    with np.errstate(over="ignore"):
-        diff = data[iu] - data[ju]
-        vals = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if not np.isfinite(vals).all():
-        raise NonFiniteEntry("a pairwise distance overflows float64; rescale the points")
-    out = np.zeros((n, n))
-    out[iu, ju] = vals
-    out[ju, iu] = vals
+    n, dim = data.shape
+    out = np.empty((n, n))
+    for rows in _row_blocks(n, n * dim):
+        block = out[rows]
+        with np.errstate(over="ignore"):
+            diff = data[rows, None, :] - data
+            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, out=block), out=block)
+        if not np.isfinite(block).all():
+            raise NonFiniteEntry("a pairwise distance overflows float64; rescale the points")
     return DistanceMatrix._from_fresh(out)
 
 

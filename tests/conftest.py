@@ -1,5 +1,6 @@
 """Shared helpers: random instances, an exact rational reference
-evaluation of the statistic, and a two-matrix distance covariance oracle."""
+evaluation of the statistic, the pair formula for Euclidean distances,
+and a two-matrix distance covariance oracle."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ import mddtest
 from mddtest import (
     DistanceMatrix,
     LabelVector,
+    NonFiniteEntry,
     PointSet,
     SizeMismatch,
     double_center,
@@ -64,6 +66,22 @@ def random_distances(rng, n, kind="euclidean", ties=False):
     else:
         pts = rng.standard_normal((n, 3))
     return euclidean_distances(PointSet.euclidean(pts))
+
+
+def euclidean_pair_distances(data):
+    """Euclidean distances the way ``euclidean_distances`` first built them:
+    each unordered pair once, ``x_i - x_j`` for ``i < j``, mirrored."""
+    n = len(data)
+    iu, ju = np.triu_indices(n, 1)
+    with np.errstate(over="ignore"):
+        diff = data[iu] - data[ju]
+        vals = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    if not np.isfinite(vals).all():
+        raise NonFiniteEntry("a pairwise distance overflows float64; rescale the points")
+    out = np.zeros((n, n))
+    out[iu, ju] = vals
+    out[ju, iu] = vals
+    return out
 
 
 def exact_statistic(values, codes, R):

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -672,6 +674,18 @@ def test_simulate_error_exits(tmp_path, capsys):
     bad = write(tmp_path / "bad.json", "{oops")
     assert main(["simulate", "--grid", bad]) == 2
     capsys.readouterr()
+
+
+def test_simulate_preset_names_only_a_bundled_preset(tmp_path, capsys):
+    # a name that walks out of the presets directory must not run the grid it finds
+    write(tmp_path / "outside.json", json.dumps(GRID))
+    presets = resources.files("mddtest").joinpath("presets")
+    name = os.path.relpath(tmp_path / "outside", str(presets))
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--preset", name, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown preset" in err and "available: table1, table2, table3, table4" in err, err
+    assert not out.exists()
 
 
 def test_simulate_master_seed_outside_64_bits_exits_2(capsys):

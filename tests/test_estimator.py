@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_statistic, random_distances, random_labels, traced_bytes_per_entry
+from conftest import (
+    euclidean_pair_distances,
+    exact_statistic,
+    random_distances,
+    random_labels,
+    traced_bytes_per_entry,
+)
 
 from mddtest import (
     DistanceMatrix,
@@ -22,8 +28,16 @@ from mddtest import (
     hhg_statistic_discrete,
     permutation_test,
 )
-from mddtest import estimator
-from mddtest.estimator import _TILE, _TILE_ROWS, MddEstimate, _ball_counts, _ball_kernel
+from mddtest import metrics
+from mddtest.estimator import (
+    _TILE,
+    _TILE_ROWS,
+    MddEstimate,
+    _ball_counts,
+    _ball_kernel,
+    _class_forms,
+)
+from mddtest.metrics import _row_blocks
 
 TWO_POINT_D = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 TWO_POINT_Y = LabelVector.from_codes(np.array([0, 1]))
@@ -189,10 +203,10 @@ def ball_kernel_row_sums(u):
     return out
 
 
-def test_ball_kernel_is_exact_where_an_int16_group_is_shorter_than_a_row_block():
-    # from n = 2048 on, 32767 // n rows are fewer than _TILE_ROWS; with
-    # nine points in ten at one site most minima are n, so the int16
-    # group sums come as close to wrapping as they can
+def test_ball_kernel_is_exact_where_an_int16_sum_takes_fewer_than_tile_rows():
+    # from n = 2048 on, an int16 sum takes 32767 // n rows, fewer than
+    # _TILE_ROWS; with nine points in ten at one site most minima are n,
+    # so the int16 sums come as close to wrapping as they can
     n = 2049
     rng = np.random.default_rng(67)
     points = np.where(rng.random((n, 1)) < 0.9, 0.0, rng.standard_normal((n, 3)))
@@ -282,30 +296,53 @@ def estimate_fast_unblocked(ranks, labels):
     )
 
 
-def assert_blocked_matches_unblocked(d, labels):
-    ranks = build_ranks(d)
-    expected = build_ranks_unblocked(d)
-    assert np.array_equal(ranks.order, expected.order)
-    assert np.array_equal(ranks.sorted_counts, expected.sorted_counts)
-    assert estimate_fast(ranks, labels) == estimate_fast_unblocked(ranks, labels), (
-        d.n, labels.num_classes,
-    )
-    assert np.array_equal(_ball_counts(ranks), ball_counts_loop(ranks))
+def assert_blocked_matches_unblocked(points, labels, chunk):
+    """Every row-blocked pass under a ``chunk``-entry budget against its
+    oracle or its call under the package's own budget."""
+    n = len(points)
+    R = labels.num_classes
+    codings = np.stack([np.roll(labels.codes, shift) for shift in range(5)])
+    expected_forms = expected_hhg = None
+    if n >= 3:
+        ranks = build_ranks(euclidean_distances(PointSet.euclidean(points)))
+        expected_forms = _class_forms(_ball_kernel(ranks), codings, R)
+        expected_hhg = hhg_statistic_discrete(ranks, codings, labels.counts)
+    with mock.patch.object(metrics, "_CHUNK", chunk):
+        assert len(_row_blocks(n, n)) > 1 or n * n <= chunk  # the patch reaches the blocks
+        d = euclidean_distances(PointSet.euclidean(points))
+        assert d.values.tobytes() == euclidean_pair_distances(points).tobytes()
+        ranks = build_ranks(d)
+        expected = build_ranks_unblocked(d)
+        assert np.array_equal(ranks.order, expected.order)
+        assert np.array_equal(ranks.sorted_counts, expected.sorted_counts)
+        assert estimate_fast(ranks, labels) == estimate_fast_unblocked(ranks, labels), (n, R)
+        assert np.array_equal(_ball_counts(ranks), ball_counts_loop(ranks))
+        if n >= 3:
+            forms = _class_forms(_ball_kernel(ranks), codings, R)
+            assert forms.tobytes() == expected_forms.tobytes()
+            hhg = hhg_statistic_discrete(ranks, codings, labels.counts)
+            assert hhg.tobytes() == expected_hhg.tobytes()
+
+
+def blocked_points(rng, n, ties):
+    # small integer grid coordinates force many tied and zero distances
+    if ties:
+        return rng.integers(0, 3, size=(n, 2)).astype(np.float64)
+    return rng.standard_normal((n, 3))
 
 
 # 200-entry blocks: n = 2..13 is one block, 17..41 ends in a ragged block, 70 is 35 of 2 rows
 BLOCKED_SIZES = (2, 3, 13, 17, 29, 41, 70)
 
 
-def test_row_blocks_change_no_bit(monkeypatch):
-    monkeypatch.setattr(estimator, "_CHUNK", 200)
+def test_row_blocks_change_no_bit():
     rng = np.random.default_rng(71)
     for n in BLOCKED_SIZES:
         for ties in (False, True):
-            d = random_distances(rng, n, ties=ties)
+            points = blocked_points(rng, n, ties)
             for R in (1, 2, 5):
                 if n >= R:
-                    assert_blocked_matches_unblocked(d, random_labels(rng, n, R))
+                    assert_blocked_matches_unblocked(points, random_labels(rng, n, R), 200)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -318,9 +355,9 @@ def test_row_blocks_change_no_bit_on_tie_heavy_samples(points, chunk, data):
     n = len(points)
     R = data.draw(st.integers(1, min(5, n)))
     codes = np.array(data.draw(st.permutations(list(range(R)) + [0] * (n - R))))
-    d = euclidean_distances(PointSet.euclidean(np.array(points, dtype=np.float64)))
-    with mock.patch.object(estimator, "_CHUNK", chunk):
-        assert_blocked_matches_unblocked(d, LabelVector.from_codes(codes, R))
+    assert_blocked_matches_unblocked(
+        np.array(points, dtype=np.float64), LabelVector.from_codes(codes, R), chunk
+    )
 
 
 def ties_in_rows(tied_rows, n=400):
@@ -342,7 +379,7 @@ TIED_BLOCK_ESTIMATES = {
 
 def test_tie_pass_skips_keep_counts_and_estimates_per_row_block():
     n = 400
-    blocks = estimator._row_blocks(n)
+    blocks = _row_blocks(n, n)
     assert [b.indices(n)[1] - b.indices(n)[0] for b in blocks] == [327, 73]
     labels = random_labels(np.random.default_rng(89), n, 3)
     cases = {"none": (), "first": range(3, 327, 29), "second": range(331, 400, 17)}

@@ -2,6 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import euclidean_pair_distances, traced_bytes_per_entry
 
 from mddtest import (
     AsymmetricMatrix,
@@ -296,15 +300,69 @@ DISTANCE_SHA256 = {
     ("sphere", 161, 1): "3c73a315492d35b3c94d165b740e2605ab65ac2cb23d4743156dc8a1098a3de9",
     ("sphere", 800, 0): "9f9a5d68d7098ca5565831478bcd9ea1644e46bb2da80c711742413d0d372c93",
     ("sphere", 800, 1): "7bd091366cb5ce45bd97f87185e983c86fc993a664e56cfaeb8280817e051db5",
+    # recorded from the pair formula, before the rows were taken in blocks
+    ("euclidean", 161, 0): "77f38a58d7290765e610be41873e2233a5b5e1e69bb9f3d14ada9443872f9803",
+    ("euclidean", 800, 1): "5e2ef5c2f9c769eb7c69c376b73744358e023efd0db6120ebbf58a60ca3b82db",
+    ("euclidean", 300, 0): "61f08dd7cd2c1d161668fabe373a65cd3c3236b788ffb2e9e32ca3342b28c603",
 }
+# points of the euclidean pins: default_rng(seed).standard_normal((n, dim))
+EUCLIDEAN_PIN_DIM = {161: 3, 800: 3, 300: 128}
 
 
-def test_shape_and_sphere_distances_keep_their_bytes():
+def test_distances_keep_their_bytes():
     for (kind, n, seed), expected in DISTANCE_SHA256.items():
         rng = np.random.default_rng(seed)
         if kind == "shape":
             d = shape_distances(PointSet.shape(rng.standard_normal((n, 5, 2))))
+        elif kind == "euclidean":
+            points = PointSet.euclidean(rng.standard_normal((n, EUCLIDEAN_PIN_DIM[n])))
+            d = euclidean_distances(points)
         else:
             rows = rng.standard_normal((n, 3))
             d = sphere_distances(PointSet.sphere(rows / np.linalg.norm(rows, axis=1)[:, None]))
         assert hashlib.sha256(d.values.tobytes()).hexdigest() == expected, (kind, n, seed)
+
+
+@st.composite
+def euclidean_samples(draw):
+    """Points whose pair sums of squares stay finite: normal rows at one
+    magnitude or with a magnitude per coordinate, small-integer grids,
+    and rows repeated from a pool of three."""
+    n = draw(st.integers(2, 120))
+    dim = draw(st.integers(0, 600))
+    style = draw(st.sampled_from(["scaled", "mixed", "grid", "duplicates"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if style == "grid":
+        return rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    if style == "mixed":
+        return rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-150, 151, size=(n, dim))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    if style == "duplicates":
+        return (rng.standard_normal((3, dim)) * scale)[rng.integers(0, 3, size=n)]
+    return rng.standard_normal((n, dim)) * scale
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(points=euclidean_samples())
+@example(points=np.zeros((5, 0)))  # no coordinates: all distances zero
+def test_euclidean_distances_match_the_pair_formula_byte_for_byte(points):
+    d = euclidean_distances(PointSet.euclidean(points))
+    assert d.values.tobytes() == euclidean_pair_distances(points).tobytes()
+
+
+def test_euclidean_overflow_raises_in_any_row_block():
+    # 500 rows of 3 coordinates take 6 row blocks; the overflowing pair
+    # lies in the last one and in the first
+    points = np.random.default_rng(5).standard_normal((500, 3))
+    points[[30, 480], 0] = (1e200, -1e200)
+    for build in (euclidean_pair_distances, lambda p: euclidean_distances(PointSet.euclidean(p))):
+        with pytest.raises(NonFiniteEntry, match="overflows"):
+            build(points)
+
+
+def test_euclidean_distances_hold_few_bytes_per_entry():
+    # the pair formula peaked at 33 and 1,030 bytes per entry here; the
+    # result is 8, and a row block's temporaries are about 1 MB
+    for n, dim in ((1000, 3), (600, 128)):
+        points = PointSet.euclidean(np.random.default_rng(dim).standard_normal((n, dim)))
+        assert traced_bytes_per_entry(n, euclidean_distances, points) < 16, (n, dim)
