@@ -112,14 +112,20 @@ class LabelVector:
     def from_values(cls, values) -> "LabelVector":
         """Encode arbitrary label values as 0..R-1 by sorted unique order.
 
-        NaN is a missing label, not a class, and is rejected.
+        NaN, and ``None`` in an object array, is a missing label, not a
+        class, and is rejected, as are object labels that cannot be ordered.
         """
         arr = np.asarray(values)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidLabels("labels must form a non-empty 1-d vector")
         if np.issubdtype(arr.dtype, np.inexact) and np.isnan(arr).any():
             raise InvalidLabels("labels hold NaN; missing labels are not supported")
-        uniques, codes = np.unique(arr, return_inverse=True)
+        if arr.dtype.kind == "O" and any(v is None or v != v for v in arr):
+            raise InvalidLabels("labels hold None or NaN; missing labels are not supported")
+        try:
+            uniques, codes = np.unique(arr, return_inverse=True)
+        except TypeError as exc:  # object labels of types that do not compare
+            raise InvalidLabels(f"labels cannot be ordered: {exc}") from None
         return cls(codes.astype(np.int64), uniques.size)
 
 
@@ -127,8 +133,9 @@ class LabelVector:
 class RankStructure:
     """Per-row sorted order and tie-aware inclusive ball counts, as int32.
 
-    ``order[i]`` sorts row ``i`` of the distance matrix ascending; the
-    order of tied columns is unspecified and may differ across CPUs, so
+    ``order[i]`` sorts row ``i`` of the distance matrix ascending; a row
+    with ties is ordered by ``np.argsort``, an unstable sort, so the
+    order of tied columns is unspecified and may differ across CPUs, and
     readers take only values that are constant over a tie run.
     ``sorted_counts[i, t]`` is the inclusive count
     ``#{k : d(i, k) <= s_t}`` for the ``t``-th smallest distance
@@ -198,34 +205,73 @@ def estimate_naive(d: DistanceMatrix, labels: LabelVector) -> MddEstimate:
 
 
 def build_ranks(d: DistanceMatrix) -> RankStructure:
-    """Sort the matrix row-wise once and count each row's tie runs.
+    """Sort every row once by packed keys; argsort only rows that may tie.
 
-    Within each row block, a sorted distance equal to the next one is
-    not the end of its tie run; a reversed running minimum over the run
-    ends ``t + 1`` gives every position the end of its run,
-    ``#{k : d(i, k) <= s_t}`` under exact equality.  A block without
-    ties skips that pass, which would leave its positions unchanged.
-    Every step is row-local, so the blocks change no bit.  Both arrays
-    fit int32: an ``n x n`` float64 matrix with ``n >= 2^31`` could not
-    be held.
+    A row block turns each distance into a ``uint64`` key: its bits with
+    the sign cleared, so ``-0.0`` keys as ``+0.0``, and the low
+    ``s = (n - 1).bit_length()`` bits replaced by the column index.
+    Nonnegative doubles order as their bits do, and the keys are
+    distinct, so one sort of the keys sorts the row and their low bits
+    give ``order``.  Where no two adjacent sorted keys share their high
+    bits, the truncated values strictly increase, so the distances do
+    too: the row's order is the only ascending one, the one any sort
+    gives, and every position ends its tie run, so ``sorted_counts`` is
+    ``1..n``.  A row where two do (a clash: a true tie, or distinct
+    values equal once truncated) is sorted again by ``np.argsort``, and
+    its run ends are found from a plain sort: a sorted distance equal to
+    the next one is not the end of its run, and a reversed running
+    minimum over the run ends ``t + 1`` gives every position
+    ``#{k : d(i, k) <= s_t}`` under exact equality.  Once most rows of a
+    block clash, as on tie-heavy data, the later blocks skip the keys
+    and take that path for every row, which gives a tie-free row the
+    same bits.  Every step is row-local, so the blocks change no bit; a
+    block holds one ``uint64`` key and one adjacent-key difference per
+    entry.  Both arrays fit int32: an ``n x n`` float64 matrix with
+    ``n >= 2^31`` could not be held.
     """
     n = d.n
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    high = np.uint64(np.iinfo(np.int64).max) ^ low  # sign bit and column bits cleared
+    columns = np.arange(n, dtype=np.uint64)
+    positions = np.arange(1, n + 1, dtype=np.int32)
     order = np.empty((n, n), dtype=np.int32)
     sorted_counts = np.empty((n, n), dtype=np.int32)
-    positions = np.arange(1, n + 1, dtype=np.int32)
+    tie_heavy = False
     for rows in _row_blocks(n, n):
-        order[rows] = np.argsort(d.values[rows], axis=1)
-        sorted_d = np.sort(d.values[rows], axis=1)
-        counts = sorted_counts[rows]
-        counts[:] = positions
-        tied = sorted_d[:, 1:] == sorted_d[:, :-1]
-        del sorted_d
-        if tied.any():  # on tie-free rows the run ends are the positions already
-            np.copyto(counts[:, :-1], np.int32(n), where=tied)
-            np.minimum.accumulate(counts[:, ::-1], axis=1, out=counts[:, ::-1])
+        sorted_counts[rows] = positions
+        if tie_heavy:
+            _argsort_rows(d.values, rows, order, sorted_counts)
+            continue
+        keys = d.values[rows].view(np.uint64) & high
+        keys |= columns
+        keys.sort(axis=1)
+        clash = np.bitwise_xor(keys[:, 1:], keys[:, :-1]).min(axis=1) <= low
+        keys &= low
+        order[rows] = keys
+        del keys
+        clashing = np.flatnonzero(clash)
+        if clashing.size:
+            _argsort_rows(d.values, clashing + rows.start, order, sorted_counts)
+        tie_heavy = 2 * clashing.size > clash.size
     order.flags.writeable = False
     sorted_counts.flags.writeable = False
     return RankStructure(order=order, sorted_counts=sorted_counts, n=n)
+
+
+def _argsort_rows(values, rows, order, sorted_counts) -> None:
+    """Argsort ``rows`` into ``order`` and mark their tie-run ends in
+    ``sorted_counts``, which holds the positions ``1..n`` there."""
+    n = len(values)
+    block = values[rows]
+    order[rows] = np.argsort(block, axis=1)
+    sorted_d = np.sort(block, axis=1)
+    tied = sorted_d[:, 1:] == sorted_d[:, :-1]
+    del block, sorted_d
+    if tied.any():  # on tie-free rows the run ends are the positions already
+        counts = sorted_counts[rows]
+        np.copyto(counts[:, :-1], np.int32(n), where=tied)
+        np.minimum.accumulate(counts[:, ::-1], axis=1, out=counts[:, ::-1])
+        sorted_counts[rows] = counts
 
 
 def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:

@@ -59,9 +59,19 @@ class PointSet:
     data: np.ndarray
 
     def __post_init__(self) -> None:
+        self._adopt(_freeze(np.asarray(self.data, dtype=np.float64)))
+
+    @classmethod
+    def _from_fresh(cls, kind: str, data: np.ndarray) -> PointSet:
+        """Check and wrap a fresh float64 array that no caller holds, without copying it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "kind", kind)
+        self._adopt(data)
+        return self
+
+    def _adopt(self, data: np.ndarray) -> None:
         if self.kind not in POINT_KINDS:
             raise ValueError(f"unknown point kind {self.kind!r}")
-        data = np.asarray(self.data, dtype=np.float64)
         if self.kind == "shape":
             if data.ndim != 3 or data.shape[2] != 2:
                 raise ValueError("shape data must have shape (n, L, 2)")
@@ -84,14 +94,15 @@ class PointSet:
                 raise ValueError("landmark configurations need at least 3 landmarks")
             with np.errstate(over="ignore", invalid="ignore"):
                 centred = data - data.mean(axis=1, keepdims=True)
-                norms = np.sqrt((centred * centred).sum(axis=(1, 2)))
+                norms = np.sqrt(np.square(centred, out=centred).sum(axis=(1, 2)))
             if not np.isfinite(norms).all():
                 raise NonFinitePoint("a configuration overflows float64 when centred and scaled")
             if norms.min() < DEGENERATE_SHAPE_TOL:
                 raise DegenerateShape(
                     "a configuration collapses to its centroid; shape is undefined"
                 )
-        object.__setattr__(self, "data", _freeze(data))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def n(self) -> int:
@@ -274,4 +285,4 @@ def unit_sphere_embedding(points: PointSet) -> PointSet:
     norms = np.sqrt((points.data * points.data).sum(axis=1, keepdims=True))
     if norms.min() <= 0.0:
         raise DegenerateShape("cannot project a zero row onto the unit sphere")
-    return PointSet.sphere(points.data / norms)
+    return PointSet._from_fresh("sphere", points.data / norms)

@@ -157,7 +157,7 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
         phi[:] = lo + unit * (hi - lo)
         eps = _noise_draws(rng, 1, n)
     rows = np.column_stack([np.ones(n), theta, phi + eps[:, None]])
-    return PointSet.euclidean(rows), labels
+    return PointSet._from_fresh("euclidean", rows), labels
 
 
 def sample_vmf(
@@ -247,7 +247,7 @@ def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
         for r in range(spec.R):
             idx = np.flatnonzero(labels.codes == r)
             rows[idx] = sample_vmf(rng, directions[r], 1.0, idx.size)
-    return PointSet.sphere(rows), labels
+    return PointSet._from_fresh("sphere", rows), labels
 
 
 def _gaussian_means(spec: ScenarioSpec) -> np.ndarray:
@@ -269,7 +269,7 @@ def gen_gaussian(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     labels = _draw_labels(rng, spec.R, spec.n)
     means = _gaussian_means(spec)
     rows = rng.standard_normal((spec.n, spec.dim)) + means[labels.codes][:, None]
-    return PointSet.euclidean(rows), labels
+    return PointSet._from_fresh("euclidean", rows), labels
 
 
 ELLIPSE_NOISE_SCALE = 1.0 / 25.0
@@ -300,7 +300,7 @@ def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVe
     configs = np.empty((spec.n, L, 2))
     configs[:, :, 0] = np.cos(t[None, :] + angle[:, None] / 2.0) + eps
     configs[:, :, 1] = np.cos(t[None, :] - angle[:, None] / 2.0) + eps
-    return PointSet.shape(configs), labels
+    return PointSet._from_fresh("shape", configs), labels
 
 
 def draws_null(spec: ScenarioSpec) -> bool:

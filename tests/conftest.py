@@ -25,15 +25,20 @@ from mddtest import (
 )
 
 
-def traced_bytes_per_entry(n, fn, *args):
-    """The traced allocation peak of ``fn(*args)`` per n^2 entry, result included."""
+def traced_peak_bytes(fn, *args):
+    """The traced allocation peak of ``fn(*args)`` in bytes, result included."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         fn(*args)
-        return (tracemalloc.get_traced_memory()[1] - before) / (n * n)
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def traced_bytes_per_entry(n, fn, *args):
+    """The traced allocation peak of ``fn(*args)`` per n^2 entry, result included."""
+    return traced_peak_bytes(fn, *args) / (n * n)
 
 
 def run_python(code, timeout):

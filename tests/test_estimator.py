@@ -395,6 +395,69 @@ def test_tie_pass_skips_keep_counts_and_estimates_per_row_block():
         assert fast.value == TIED_BLOCK_ESTIMATES[name], name
 
 
+def packed_key_distances(rng, n, kind):
+    """Distances for the packed-key rank build: tie-free rows, true ties on
+    an integer grid, zeros of both signs off the diagonal, subnormal or
+    huge entries, or rows holding ``v`` and ``nextafter(v, inf)``, equal
+    once their low bits are dropped but not tied."""
+    if kind in ("grid", "signed zeros"):
+        values = random_distances(rng, n, ties=True).values.copy()
+        if kind == "signed zeros":
+            flip = np.triu(rng.random((n, n)) < 0.5, 1) & (values == 0.0)
+            values[flip | flip.T] = -0.0
+        return DistanceMatrix(values)
+    values = random_distances(rng, n).values.copy()
+    if kind == "subnormal":
+        values *= 1e-310
+    elif kind == "huge":
+        values *= 1e300
+    elif kind == "clash" and n >= 3:
+        for i in rng.choice(n, size=n // 4 + 1, replace=False):
+            j, k = (i + rng.choice(np.arange(1, n), size=2, replace=False)) % n
+            v = float(rng.integers(1, 1 << 20)) / 1024  # no low bits set
+            values[i, j] = values[j, i] = v
+            values[i, k] = values[k, i] = np.nextafter(v, np.inf)
+    return DistanceMatrix(values)
+
+
+PACKED_KEY_KINDS = ("continuous", "grid", "signed zeros", "subnormal", "huge", "clash")
+# either side of 2^k, where the column index takes one more key bit
+PACKED_KEY_SIZES = (2, 3, 4, 5, 255, 256, 257, 1025)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    n=st.sampled_from(PACKED_KEY_SIZES),
+    chunk=st.sampled_from((None, 1, 700)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_key_rank_build_matches_the_whole_matrix_sort(n, chunk, seed):
+    rng = np.random.default_rng(seed)
+    for kind in PACKED_KEY_KINDS:
+        d = packed_key_distances(rng, n, kind)
+        expected = build_ranks_unblocked(d)
+        with (
+            mock.patch.object(metrics, "_CHUNK", chunk or metrics._CHUNK),
+            mock.patch.object(np, "argsort", wraps=np.argsort) as argsort,
+        ):
+            ranks = build_ranks(d)
+        assert np.array_equal(ranks.order, expected.order), kind
+        assert np.array_equal(ranks.sorted_counts, expected.sorted_counts), kind
+        if kind == "continuous":
+            assert not argsort.called  # every row took the key sort alone
+        if kind == "clash" and n >= 3:
+            assert argsort.called  # the clashing rows were sorted again
+
+
+def test_tie_free_rows_are_ranked_without_argsort():
+    d = random_distances(np.random.default_rng(97), 600)
+    expected = build_ranks_unblocked(d)
+    with mock.patch.object(np, "argsort", side_effect=AssertionError("argsort on tie-free rows")):
+        ranks = build_ranks(d)
+    assert np.array_equal(ranks.order, expected.order)
+    assert np.array_equal(ranks.sorted_counts, expected.sorted_counts)
+
+
 def test_rank_build_and_estimate_hold_few_bytes_per_entry():
     # unblocked, these were 25 and 49 bytes per entry; the int32 results
     # alone are 8, and estimate_fast keeps an n^2 float64, int32 and int8
@@ -540,6 +603,15 @@ def test_label_vector_encoding_and_counts():
     assert labels.n == 4
     assert not labels.codes.flags.writeable
     assert not labels.counts.flags.writeable
+
+
+def test_from_values_rejects_missing_and_unorderable_object_labels():
+    nan = float("nan")
+    for values in ([1.0, nan, 2.0, nan], ["a", nan, "b"], [None, "a", "b"], ["a", 1, "b"]):
+        with pytest.raises(InvalidLabels):
+            LabelVector.from_values(np.array(values, dtype=object))
+    labels = LabelVector.from_values(np.array(["b", "a", "b"], dtype=object))
+    assert labels.codes.tolist() == [1, 0, 1]
 
 
 def test_rank_arrays_are_frozen():

@@ -234,6 +234,33 @@ def test_distance_matrix_copies_a_callers_array():
         assert d.values.tolist() == [[0.0, 2.0], [2.0, 0.0]], lock
 
 
+def test_point_set_copies_a_callers_array_and_adopts_a_fresh_one():
+    # the public constructors copy, even a read-only view, since its owner can
+    # still write to it; the generators hand their own arrays over uncopied
+    rows = np.array([[0.0, 1.0], [1.0, 0.0]])
+    configs = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]])
+    for build, data in ((PointSet.euclidean, rows), (PointSet.sphere, rows), (PointSet.shape, configs)):
+        for lock in ("writeable", "read-only view"):
+            arr = data.copy()
+            given = arr.view() if lock == "read-only view" else arr
+            given.flags.writeable = lock == "writeable"
+            points = build(given)
+            arr[0] = 7.0
+            assert np.array_equal(points.data, data), (points.kind, lock)
+    fresh = rows.copy()
+    adopted = PointSet._from_fresh("sphere", fresh)
+    assert adopted.data is fresh and not fresh.flags.writeable
+    assert adopted.kind == "sphere" and adopted.n == 2
+    with pytest.raises(NotUnitNorm):
+        PointSet._from_fresh("sphere", 2.0 * rows)
+    with pytest.raises(DegenerateShape):
+        PointSet._from_fresh("shape", np.zeros((2, 3, 2)))
+    with pytest.raises(NonFinitePoint):
+        PointSet._from_fresh("euclidean", np.array([[0.0, np.inf], [1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        PointSet._from_fresh("torus", rows.copy())
+
+
 def test_load_precomputed_accepts_and_symmetrises():
     base = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     assert np.array_equal(load_precomputed(base).values, base)

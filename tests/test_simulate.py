@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import run_python, traced_peak_bytes
 
 from mddtest import simulate
 from mddtest import (
@@ -245,6 +245,16 @@ def test_ellipse_noise_is_shared_between_coordinates():
     # shared draw is recovered only up to an ulp per entry
     assert np.allclose(residual_x, residual_y, rtol=0.0, atol=1e-12)
     assert residual_x.std() > 0
+
+
+def test_ellipse_shapes_hand_their_configurations_over_uncopied():
+    # 800 configurations of 50 landmarks take 0.64 MB; the generator's own
+    # temporaries peak at 2.6 times that, and copying the result into the
+    # point set read 3.5
+    spec = ScenarioSpec(scenario="sim4", R=2, n=800, landmarks=50, corr=0.3)
+    points, _ = gen_ellipse_shapes(spec, seed=1)  # warm: first-call imports are not the generator's
+    assert not points.data.flags.writeable
+    assert traced_peak_bytes(gen_ellipse_shapes, spec, 1) < 3 * points.data.nbytes
 
 
 def test_ellipse_shapes_validation():
