@@ -91,7 +91,7 @@ def distances_for(points: PointSet, sphere_metric: str = "euclidean") -> Distanc
         return shape_distances(points)
     if points.kind == "sphere" and sphere_metric == "geodesic":
         return sphere_distances(points)
-    return euclidean_distances(PointSet.euclidean(points.data))
+    return euclidean_distances(PointSet._from_fresh("euclidean", points.data))
 
 
 def _cell_seeds(master_seed: int, cell_index: int, rep: int) -> tuple[int, int]:

@@ -89,23 +89,30 @@ def check_permutation_settings(permutations: int, seed: int | None) -> None:
         _substream(seed, 0)  # refuses the seed as every generator would
 
 
-def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:
-    """The ``(permutations, n)`` array of index permutations for a seed.
-
-    Row ``b`` comes from the ``(seed, b)`` substream, independent of
-    execution order.  One generator is rekeyed per row: a fresh state
-    with key ``(seed, b)`` and counter 0 continues exactly as a new
-    ``_substream(seed, b)`` would.
+def _shuffle_rows(values: np.ndarray, seed: int, out: np.ndarray) -> None:
+    """Fill row ``b`` of ``out`` with ``values`` shuffled by the ``(seed, b)``
+    substream.  One generator is rekeyed per row: a fresh state with key
+    ``(seed, b)`` and counter 0 continues exactly as a new ``_substream(seed, b)``
+    would.  Fisher-Yates draws the same swaps whatever the values are.
     """
-    check_permutation_settings(permutations, seed)
     generator = _substream(seed, 0)
     bits = generator.bit_generator
     state = bits.state
-    out = np.empty((permutations, n), dtype=np.int64)
-    for b in range(permutations):
+    out[:] = values
+    for b, row in enumerate(out):
         state["state"]["key"][1] = b
         bits.state = state
-        out[b] = generator.permutation(n)
+        generator.shuffle(row)
+
+
+def draw_label_permutations(n: int, permutations: int, seed: int) -> np.ndarray:
+    """The ``(permutations, n)`` array of index permutations that defines the
+    stream: row ``b`` is ``arange(n)`` shuffled by the ``(seed, b)`` substream,
+    independent of execution order, so shuffling codes gives ``codes[row]``.
+    """
+    check_permutation_settings(permutations, seed)
+    out = np.empty((permutations, n), dtype=np.int64)
+    _shuffle_rows(np.arange(n), seed, out)
     return out
 
 
@@ -158,12 +165,13 @@ def _null_pvalues(
     seed: int, ranks: RankStructure | None = None,
 ) -> dict[str, float]:
     """p-values of ``tests`` on one dataset over one draw of permutations.  The
-    batch of the observed coding and its permuted codings is built once, and the
-    permutations are freed before any key.  Unless given, the rank arrays are
-    built only if a test needs them; one test's n^2 key arrays are live at once."""
-    perms = draw_label_permutations(labels.n, permutations, seed)
-    codings = np.vstack([labels.codes, labels.codes[perms]])
-    del perms
+    batch is one array, built once: the observed coding, then the label codes
+    shuffled in place by each permutation's substream.  Unless given, the rank
+    arrays are built only if a test needs them; one test's n^2 key arrays are
+    live at once."""
+    codings = np.empty((permutations + 1, labels.n), dtype=np.int64)
+    codings[0] = labels.codes
+    _shuffle_rows(labels.codes, seed, codings[1:])
     built = functools.cache(lambda: build_ranks(d) if ranks is None else ranks)
     out = {}
     for test in tests:

@@ -63,7 +63,7 @@ class PointSet:
 
     @classmethod
     def _from_fresh(cls, kind: str, data: np.ndarray) -> PointSet:
-        """Check and wrap a fresh float64 array that no caller holds, without copying it."""
+        """Check and wrap, without copying, a fresh float64 array, or one already frozen."""
         self = object.__new__(cls)
         object.__setattr__(self, "kind", kind)
         self._adopt(data)

@@ -85,6 +85,16 @@ def test_distances_for_dispatch():
     )
 
 
+def test_sphere_rows_measured_as_euclidean_share_their_frozen_array(monkeypatch):
+    unit, _ = generate(ScenarioSpec(scenario="sim2", column=2, R=2, n=12), seed=1)
+    seen = []
+    monkeypatch.setattr(harness, "euclidean_distances", seen.append)
+    distances_for(unit, "euclidean")
+    assert seen[0].kind == "euclidean"
+    # the rows are frozen, so the Euclidean view adopts them without a copy
+    assert np.shares_memory(seen[0].data, unit.data)
+
+
 def test_cell_seeds_are_deterministic_and_distinct():
     seen = set()
     for cell in range(3):

@@ -35,6 +35,7 @@ from mddtest.inference import (
     MIN_SCALING_REPS,
     NULL_KEYS,
     _null_pvalues,
+    _shuffle_rows,
     _substream,
 )
 
@@ -134,6 +135,41 @@ def test_permutation_rows_match_a_pure_python_fisher_yates():
                 assert rows[b].tolist() == fisher_yates(seed, b, n), (seed, n, b)
 
 
+def test_shuffled_codes_are_the_codes_gathered_through_the_permutations():
+    # the null batch shuffles label codes, not indices; Fisher-Yates draws the
+    # same swaps whatever the values, so tied codes still land as codes[perm]
+    for seed in (0, 7, 2**63 - 1, 2**64 - 1):
+        for n in (1, 2, 7, 60, 160):
+            codes = np.arange(n, dtype=np.int64) // 2 % 5
+            shuffled = np.empty((40, n), dtype=np.int64)
+            _shuffle_rows(codes, seed, shuffled)
+            perms = draw_label_permutations(n, 40, seed)
+            assert np.array_equal(shuffled, codes[perms]), (seed, n)
+
+
+def test_null_batch_is_one_array_of_shuffled_codes(monkeypatch):
+    n = 160
+    rng = np.random.default_rng(11)
+    ranks = build_ranks(random_distances(rng, n))
+    labels = random_labels(rng, n, 5)
+    batches = []
+
+    def keep(d, built, coded, codings):
+        batches.append(codings)
+        return np.zeros(len(codings))
+
+    monkeypatch.setitem(NULL_KEYS, "hhg", keep)
+    _null_pvalues(None, labels, ("hhg",), 499, 0, ranks)
+    perms = draw_label_permutations(n, 499, 0)
+    assert np.array_equal(batches[0], np.vstack([labels.codes, labels.codes[perms]]))
+    monkeypatch.undo()
+    # one int64 batch is 25 bytes per n^2 entry here; HHG's scoring sets the
+    # peak beside it, while index permutations, their gather and a stacked
+    # copy would hold three batches at once (75)
+    per_entry = traced_bytes_per_entry(n, _null_pvalues, None, labels, ("hhg",), 499, 0, ranks)
+    assert per_entry < 64
+
+
 def exact_pvalue(d, labels, permutations, seed):
     """The add-one p-value with every statistic from the Fraction oracle."""
     r = labels.num_classes
@@ -207,8 +243,8 @@ def test_permutation_test_frees_the_permutations_before_scoring():
     rng = np.random.default_rng(3)
     ranks = build_ranks(random_distances(rng, n))
     labels = random_labels(rng, n, 5)
-    # the coding batch, the kernel build and the class forms; keeping the
-    # 499 x n permutation rows beside the batch would add 8 bytes per entry
+    # the coding batch, the kernel build and the class forms; the batch is
+    # the label codes shuffled in place, with no index permutations beside it
     assert traced_bytes_per_entry(n, permutation_test, ranks, labels, 499, 0) <= 28
 
 
