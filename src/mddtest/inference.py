@@ -31,6 +31,7 @@ from .errors import (
     OutOfRangePValue,
 )
 from .estimator import (
+    MAX_EXACT_N,
     LabelVector,
     RankStructure,
     _ball_kernel,
@@ -132,9 +133,7 @@ def _mdd_keys(d: DistanceMatrix, ranks, labels: LabelVector, codings: np.ndarray
     statistic increases with the key.  Keys are Python ints, because the
     weighted sum can overflow int64, so any split of a batch keeps them.
     """
-    built = ranks()
-    _check_sizes(built.n, labels)
-    kernel = _ball_kernel(built)
+    kernel = _ball_kernel(ranks())
     counts = labels.counts.tolist()
     weights = np.array([math.lcm(*counts) // c for c in counts], dtype=object)
     forms = _class_forms(kernel, codings, labels.num_classes)
@@ -169,6 +168,8 @@ def _null_pvalues(
     shuffled in place by each permutation's substream.  Unless given, the rank
     arrays are built only if a test needs them; one test's n^2 key arrays are
     live at once."""
+    if (permutations + 1) * labels.n * 8 > np.iinfo(np.intp).max:
+        raise InvalidB(f"B = {permutations} codings of n = {labels.n} exceed the address space")
     codings = np.empty((permutations + 1, labels.n), dtype=np.int64)
     codings[0] = labels.codes
     _shuffle_rows(labels.codes, seed, codings[1:])
@@ -190,10 +191,13 @@ def permutation_test(
 
     The p-value comes from ``_null_pvalues``, the statistic and per-class
     terms from ``estimate_fast``.  A permutation count below 1, a seed outside
-    [0, 2^64) and more than ``MAX_EXACT_N`` observations are rejected before
-    any n^2 work.  Inputs are never mutated; the same seed gives bit-identical results.
+    [0, 2^64), labels that do not match the ranks and n > ``MAX_EXACT_N`` are rejected
+    before any draw.  Inputs are never mutated; the same seed gives bit-identical results.
     """
     check_permutation_settings(permutations, seed)
+    _check_sizes(ranks.n, labels)
+    if ranks.n > MAX_EXACT_N:
+        raise InvalidSpec(f"exact permutation keys need n <= {MAX_EXACT_N}, got n = {ranks.n}")
     if seed is None:
         seed = fresh_seed()
     if labels.num_classes == 1:

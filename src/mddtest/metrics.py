@@ -3,10 +3,13 @@
 Supported spaces: Euclidean rows, the unit sphere under the great-circle
 metric, planar landmark configurations under the Riemannian shape
 metric, and user-supplied precomputed matrices.  Every constructor
-returns a :class:`DistanceMatrix` whose invariants are re-checked on
-construction: exact symmetry as stored, an exactly zero diagonal, and
-finite nonnegative entries.  Euclidean distances take 8 bytes per entry
-plus row-block temporaries of about ``16 * max(_CHUNK, n * dim)`` bytes.
+returns a :class:`DistanceMatrix`, checked once on construction by
+``DistanceMatrix._adopt``: finite nonnegative entries, exact symmetry as
+stored and a zero diagonal.  ``load_precomputed`` is the same check with
+tolerances for asymmetry and diagonal.  The public constructors copy
+their input once; the builders hand over fresh arrays uncopied.
+Euclidean distances take 8 bytes per entry plus row-block temporaries of
+about ``16 * max(_CHUNK, n * dim)`` bytes.
 """
 
 from __future__ import annotations
@@ -39,14 +42,6 @@ _CHUNK = 1 << 17  # entries per row block of every n^2 pass
 POINT_KINDS = ("euclidean", "sphere", "shape")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
-    if out is arr:
-        out = arr.copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class PointSet:
     """A homogeneous sample of points in one of the supported spaces.
@@ -59,7 +54,7 @@ class PointSet:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        self._adopt(_freeze(np.asarray(self.data, dtype=np.float64)))
+        self._adopt(np.array(self.data, dtype=np.float64, order="C"))
 
     @classmethod
     def _from_fresh(cls, kind: str, data: np.ndarray) -> PointSet:
@@ -110,52 +105,66 @@ class PointSet:
 
     @classmethod
     def euclidean(cls, rows) -> "PointSet":
-        return cls("euclidean", np.asarray(rows, dtype=np.float64))
+        return cls("euclidean", rows)
 
     @classmethod
     def sphere(cls, rows) -> "PointSet":
-        return cls("sphere", np.asarray(rows, dtype=np.float64))
+        return cls("sphere", rows)
 
     @classmethod
     def shape(cls, configurations) -> "PointSet":
-        return cls("shape", np.asarray(configurations, dtype=np.float64))
+        return cls("shape", configurations)
 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
     """A validated ``(n, n)`` pairwise distance matrix.
 
-    Invariants, re-checked on every construction: the stored array is
-    exactly symmetric, its diagonal is exactly zero, and all entries
-    are finite and nonnegative.
+    Invariants, checked on every construction: the stored array is
+    exactly symmetric, its diagonal is zero (a ``-0.0`` is stored as
+    ``+0.0``), and all entries are finite and nonnegative.  The
+    constructor copies its input once, whatever its type or layout.
     """
 
     values: np.ndarray
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        self._adopt(_freeze(np.asarray(self.values, dtype=np.float64)))
+        self._adopt(np.array(self.values, dtype=np.float64, order="C"))
 
     @classmethod
-    def _from_fresh(cls, values: np.ndarray) -> DistanceMatrix:
-        """Check and wrap a fresh array that no caller holds, without copying it."""
+    def _from_fresh(cls, values: np.ndarray, symmetry_tol=0.0, diagonal_tol=0.0) -> DistanceMatrix:
+        """Check and wrap, without copying, a fresh writeable float64 array that
+        no caller holds: ``_adopt`` may repair it in place."""
         self = object.__new__(cls)
-        self._adopt(values)
+        self._adopt(values, symmetry_tol, diagonal_tol)
         return self
 
-    def _adopt(self, values: np.ndarray) -> None:
+    def _adopt(self, values: np.ndarray, symmetry_tol=0.0, diagonal_tol=0.0) -> None:
+        """The one check of a distance matrix: square, n >= 2, finite, nonnegative,
+        asymmetry and diagonal within their tolerances, in that order.  Skew pairs
+        are averaged in place, each half taken before the sum so that entries near
+        the float maximum cannot overflow; the diagonal is then set to zero."""
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise AsymmetricMatrix("distance matrix must be square")
         if values.shape[0] < 2:
             raise TooFewSamples(f"need at least 2 observations, got {values.shape[0]}")
         if not np.isfinite(values).all():
-            raise NonFiniteEntry("distance matrix entries must be finite")
+            raise NonFiniteEntry("distance matrix holds a non-finite entry")
         if (values < 0.0).any():
-            raise NegativeDistance("distance matrix entries must be nonnegative")
-        if np.any(np.diagonal(values) != 0.0):
-            raise NonzeroDiagonal("distance matrix diagonal must be exactly zero")
-        if not np.array_equal(values, values.T):
-            raise AsymmetricMatrix("distance matrix must be exactly symmetric as stored")
+            raise NegativeDistance("distance matrix holds a negative entry")
+        skew = values != values.T  # one n^2 bool; exactly symmetric entries keep their bits
+        if skew.any():  # the two gathers are temporaries, so numpy reuses them in place
+            gap = float(np.abs(values[skew] - values.T[skew]).max())
+            if gap > symmetry_tol:
+                raise AsymmetricMatrix(f"asymmetry {gap:.3e} exceeds tolerance {symmetry_tol:g}")
+            values[skew] = values[skew] / 2.0 + values.T[skew] / 2.0
+        worst = float(np.abs(np.diagonal(values)).max())
+        if worst > diagonal_tol:
+            raise NonzeroDiagonal(
+                f"diagonal magnitude {worst:.3e} exceeds tolerance {diagonal_tol:g}"
+            )
+        np.fill_diagonal(values, 0.0)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "n", values.shape[0])
@@ -240,39 +249,11 @@ def shape_distances(points: PointSet) -> DistanceMatrix:
 
 
 def load_precomputed(matrix) -> DistanceMatrix:
-    """Validate a user-supplied square distance matrix.
-
-    Entries must be finite and nonnegative, the diagonal zero within
-    ``DIAGONAL_TOL``, and any asymmetry at most ``SYMMETRY_TOL``;
-    asymmetry within tolerance is removed by averaging the matrix with
-    its transpose.
-    """
-    values = np.asarray(matrix, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise AsymmetricMatrix("precomputed distance matrix must be square")
-    if values.shape[0] < 2:
-        raise TooFewSamples(f"need at least 2 observations, got {values.shape[0]}")
-    if not np.isfinite(values).all():
-        raise NonFiniteEntry("precomputed distance matrix holds a non-finite entry")
-    if (values < 0.0).any():
-        raise NegativeDistance("precomputed distance matrix holds a negative entry")
-    gap = float(np.abs(values - values.T).max())
-    if gap > SYMMETRY_TOL:
-        raise AsymmetricMatrix(
-            f"asymmetry {gap:.3e} exceeds tolerance {SYMMETRY_TOL:g}"
-        )
-    worst_diag = float(np.abs(np.diagonal(values)).max())
-    if worst_diag > DIAGONAL_TOL:
-        raise NonzeroDiagonal(
-            f"diagonal magnitude {worst_diag:.3e} exceeds tolerance {DIAGONAL_TOL:g}"
-        )
-    # halve before adding, so entries near the float maximum cannot overflow;
-    # exactly symmetric entries are kept as they are
-    out = values.copy()
-    skew = values != values.T
-    out[skew] = values[skew] / 2.0 + values.T[skew] / 2.0
-    np.fill_diagonal(out, 0.0)
-    return DistanceMatrix._from_fresh(out)
+    """A user-supplied distance matrix, copied once and checked as by ``DistanceMatrix``,
+    but with asymmetry up to ``SYMMETRY_TOL`` averaged away and a diagonal up to
+    ``DIAGONAL_TOL`` set to zero.  ``matrix`` itself is never changed."""
+    values = np.array(matrix, dtype=np.float64, order="C")
+    return DistanceMatrix._from_fresh(values, SYMMETRY_TOL, DIAGONAL_TOL)
 
 
 def unit_sphere_embedding(points: PointSet) -> PointSet:

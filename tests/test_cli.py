@@ -205,6 +205,22 @@ def test_bad_permutation_count_or_seed_exits_2_before_reading_input(tmp_path, mo
     assert not (tmp_path / "r.json").exists()
 
 
+def test_a_permutation_count_beyond_the_address_space_exits_2(two_point_files, tmp_path, capsys):
+    # (B + 1) * n * 8 bytes exceed the largest intp, so no allocation is tried
+    points, labels = two_point_files
+    huge = str(10**18)
+    out = tmp_path / "r.json"
+    argv = ["test", "--points", points, "--labels", labels, "--permutations", huge, "--seed", "0"]
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"B = {huge}" in err and "n = 2" in err, err
+    argv = ["simulate", "--preset", "table4", "--reps", "1", "--tests", "mdd", "--output", str(out)]
+    assert main(argv + ["--permutations", huge]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"B = {huge}" in err and "n = 60" in err, err
+    assert not out.exists()
+
+
 def test_largest_seed_is_accepted(two_point_files, tmp_path, capsys):
     points, labels = two_point_files
     out = tmp_path / "r.json"

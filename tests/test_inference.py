@@ -15,6 +15,7 @@ from mddtest import (
     PointSet,
     RankStructure,
     ScenarioSpec,
+    SizeMismatch,
     bh_adjust,
     build_ranks,
     clt_diagnostic,
@@ -246,6 +247,21 @@ def test_permutation_test_frees_the_permutations_before_scoring():
     # the coding batch, the kernel build and the class forms; the batch is
     # the label codes shuffled in place, with no index permutations beside it
     assert traced_bytes_per_entry(n, permutation_test, ranks, labels, 499, 0) <= 28
+
+
+def test_permutation_test_checks_its_inputs_before_drawing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(inference, "_shuffle_rows", lambda *args: calls.append(args))
+    rng = np.random.default_rng(8)
+    ranks = build_ranks(random_distances(rng, 12))
+    with pytest.raises(SizeMismatch):
+        permutation_test(ranks, random_labels(rng, 11, 2), 9, 0)
+    n = MAX_EXACT_N + 1
+    stand_in = RankStructure(order=None, sorted_counts=None, n=n)
+    labels = LabelVector.from_codes(np.arange(n, dtype=np.int64) % 2, 2)
+    with pytest.raises(InvalidSpec, match=f"n <= {MAX_EXACT_N}"):
+        permutation_test(stand_in, labels, 9, 0)
+    assert calls == []
 
 
 def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import euclidean_pair_distances, traced_bytes_per_entry
+from conftest import (
+    euclidean_pair_distances,
+    random_distances,
+    traced_bytes_per_entry,
+    traced_peak_bytes,
+)
 
 from mddtest import (
     AsymmetricMatrix,
@@ -274,6 +279,20 @@ def test_load_precomputed_accepts_and_symmetrises():
     assert load_precomputed(tiny_diag).values[1, 1] == 0.0
 
 
+def test_a_signed_zero_diagonal_is_stored_as_positive_zero():
+    # -0.0 passes as a zero diagonal and is stored as +0.0; off the diagonal it is kept
+    signed = DistanceMatrix([[-0.0, -0.0], [-0.0, 0.0]]).values
+    assert not np.signbit(np.diagonal(signed)).any() and np.signbit(signed[0, 1])
+
+
+def test_load_precomputed_repairs_a_copy_not_the_callers_array():
+    skew = np.array([[0.0, 1.0 + 5e-10, 2.0], [1.0, 1e-13, 3.0], [2.0, 3.0, 0.0]])
+    kept = skew.copy()
+    out = load_precomputed(skew).values
+    assert out[0, 1] == out[1, 0] == (1.0 + 5e-10) / 2.0 + 0.5 and out[1, 1] == 0.0
+    assert skew.flags.writeable and skew.tobytes() == kept.tobytes()
+
+
 def test_load_precomputed_rejections():
     with pytest.raises(AsymmetricMatrix):
         load_precomputed(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -288,6 +307,34 @@ def test_load_precomputed_rejections():
     for empty in (np.empty((0, 0)), np.zeros((1, 1))):
         with pytest.raises(TooFewSamples):
             load_precomputed(empty)
+    # one fault each: the first check that fails names the class
+    single_faults = (
+        ([[-1e-13, 1.0], [1.0, 0.0]], NegativeDistance),
+        ([[np.nan, 1.0], [1.0, 0.0]], NonFiniteEntry),
+        ([[0.0, np.inf], [1.0, 0.0]], NonFiniteEntry),
+        ([[1e-6, 1.0], [2.0, 0.0]], AsymmetricMatrix),
+    )
+    for matrix, error in single_faults:
+        with pytest.raises(error):
+            load_precomputed(np.array(matrix))
+
+
+def test_load_precomputed_holds_its_copy_and_one_bool_per_entry():
+    # the copy (8 bytes per entry) and the skew mask (1); an asymmetry measured
+    # through two whole n^2 float64 temporaries reads 16.0
+    n = 1000
+    values = random_distances(np.random.default_rng(4), n).values.copy()
+    values[3, 7] += 1e-12
+    assert traced_bytes_per_entry(n, load_precomputed, values) < 12
+
+
+def test_public_constructors_copy_a_list_once():
+    rng = np.random.default_rng(6)
+    values = random_distances(rng, 300).values
+    assert traced_peak_bytes(DistanceMatrix, values.tolist()) < 1.5 * values.nbytes
+    # numpy's list conversion also holds a few dozen bytes per row, so rows are wide
+    rows = rng.standard_normal((500, 64))
+    assert traced_peak_bytes(PointSet.euclidean, rows.tolist()) < 1.5 * rows.nbytes
 
 
 def test_unit_sphere_embedding():

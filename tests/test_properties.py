@@ -1,15 +1,18 @@
 """Property tests: malformed input files never reach the internal-error exit.
 
 Exit 4 means a fault in the program, so every malformed CSV, result or
-grid file must exit 0, 2 or 3.  The examples are derandomised, so the
-suite runs the same cases every time.
+grid file must exit 0, 2 or 3.  A precomputed matrix is also checked
+against a reference of the documented checks.  The examples are
+derandomised, so the suite runs the same cases every time.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_distances, random_labels
-from mddtest import build_ranks, permutation_test
+from mddtest import (
+    AsymmetricMatrix,
+    MetricError,
+    NegativeDistance,
+    NonFiniteEntry,
+    NonzeroDiagonal,
+    build_ranks,
+    load_precomputed,
+    permutation_test,
+)
 from mddtest.cli import main
 from mddtest.fileio import grid_from_dict, result_to_dict, validate_result_dict
+from mddtest.metrics import DIAGONAL_TOL, SYMMETRY_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 # single-class label files are valid input and warn by design
@@ -200,3 +213,59 @@ def test_simulate_on_mutated_grids_exits_0_exactly_when_the_grid_is_accepted(
         else:
             path.write_text(json.dumps(grid), encoding="utf-8")
         assert run_cli(["simulate", "--grid", str(path)]) == (0 if valid else 2)
+
+
+# the finite nonnegative entries come first; 5e-324 / 2 + 1e-323 / 2 is 5e-324,
+# but (5e-324 + 1e-323) / 2 is 1e-323
+ENTRIES = (
+    0.0, -0.0, 1.0, 1 + 5e-10, 1e-13, 1.7e308, 5e-324, 1e-323, -1e-13, -1.0, math.nan, math.inf
+)
+
+
+@st.composite
+def square_matrices(draw):
+    """A 2x2 to 6x6 matrix: a symmetric draw of finite nonnegative entries with
+    a diagonal within tolerance, then up to three entries redrawn from all of
+    ``ENTRIES``, so that accepted, repaired and rejected matrices all occur."""
+    n = draw(st.integers(2, 6))
+    valid = st.sampled_from(ENTRIES[:8])
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from((0.0, -0.0, 1e-13)))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(valid)
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(index)][draw(index)] = draw(st.sampled_from(ENTRIES))
+    return rows
+
+
+def precomputed_reference(rows):
+    """The error class of the first failing check (finite, nonnegative,
+    asymmetry, diagonal), or else the bytes with each skew pair averaged
+    half by half and the diagonal set to zero."""
+    n = len(rows)
+    pairs = [(rows[i][j], rows[j][i]) for i in range(n) for j in range(n)]
+    if not all(math.isfinite(a) for a, _ in pairs):
+        return NonFiniteEntry
+    if any(a < 0.0 for a, _ in pairs):
+        return NegativeDistance
+    if any(abs(a - b) > SYMMETRY_TOL for a, b in pairs):
+        return AsymmetricMatrix
+    if any(abs(rows[i][i]) > DIAGONAL_TOL for i in range(n)):
+        return NonzeroDiagonal
+    out = [a if a == b else a / 2.0 + b / 2.0 for a, b in pairs]
+    out[:: n + 1] = [0.0] * n
+    return np.array(out).tobytes()
+
+
+@settings(SETTINGS, max_examples=300)
+@given(rows=square_matrices())
+def test_load_precomputed_matches_a_reference_of_its_checks(rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be an error under the suite's filter
+        try:
+            got = load_precomputed(np.array(rows)).values.tobytes()
+        except MetricError as exc:
+            got = type(exc)
+    assert got == precomputed_reference(rows)
