@@ -29,20 +29,18 @@ def _chi_squares(n11, r1, c1, m):
     """Pearson chi-squares of 2x2 tables with the given counts, elementwise.
 
     Tables have ``m`` units, first-row margin ``r1``, first-column
-    margin ``c1`` and top-left cell ``n11``; a zero margin gives zero.
+    margin ``c1`` and top-left cell ``n11``.  Each is ``m det^2 / den``,
+    with ``det = n11 n22 - n12 n21 = m n11 - r1 c1`` and
+    ``den = r1 (m - r1) c1 (m - c1)`` in int64; a zero margin gives zero.
     """
-    n12 = r1 - n11
-    n21 = c1 - n11
-    n22 = m - r1 - c1 + n11
-    det = n11 * n22 - n12 * n21
+    det = m * n11 - r1 * c1
     den = r1 * (m - r1) * c1 * (m - c1)
-    valid = den > 0
     num = np.zeros(det.shape)
     np.divide(
         m * det.astype(np.float64) ** 2,
         den.astype(np.float64),
         out=num,
-        where=valid,
+        where=den > 0,
     )
     return num
 
@@ -91,8 +89,6 @@ def hhg_statistic_discrete(
     tie_free = bool((ranks.sorted_counts == np.arange(1, n + 1)).all())
     total = np.zeros(len(codings))
     for r, size in enumerate(sizes):
-        if size == 0:
-            continue
         n11 = np.arange(-2, size - 1)[:, None]  # a - 2 for a in 0..n_r
         r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
         table = _chi_squares(n11, r1, size - 2, n - 2).ravel()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -183,20 +183,17 @@ class TableReport:
         return "\n".join(lines)
 
     def to_csv_rows(self) -> list[list[str]]:
+        """Each cell's ``ScenarioSpec`` fields, ``null`` meaning that it draws
+        independent data, then ``reps`` and each test's count and frequency."""
         tests = list(self.config["tests"])
-        header = ["scenario", "column", "R", "n", "dim", "landmarks", "corr", "null", "reps"]
+        header = [f.name for f in fields(ScenarioSpec)] + ["reps"]
         rows = [header + [f"{t}_{k}" for t in tests for k in ("rejections", "frequency")]]
         for cell in self.cells:
             spec = cell.spec
+            values = asdict(spec)
+            values.update(corr=repr(float(spec.corr)), null=str(draws_null(spec)).lower())
             rows.append([
-                spec.scenario,
-                str(spec.column),
-                str(spec.R),
-                str(spec.n),
-                str(spec.dim),
-                str(spec.landmarks),
-                repr(float(spec.corr)),
-                str(draws_null(spec)).lower(),
+                *map(str, values.values()),
                 str(cell.reps),
                 *(v for t in tests for v in (str(cell.rejections[t]), repr(cell.frequency(t)))),
             ])
@@ -234,16 +231,7 @@ def run_grid(grid: ExperimentGrid, threads: int = 1) -> TableReport:
         CellResult(spec=spec, reps=grid.reps, rejections=counts)
         for spec, counts in zip(grid.cells, rejections)
     ]
-    config = {
-        "name": grid.name,
-        "tests": list(grid.tests),
-        "reps": grid.reps,
-        "permutations": grid.permutations,
-        "alpha": grid.alpha,
-        "seed": grid.seed,
-        "sphere_metric": grid.sphere_metric,
-        "y_encoding": Y_ENCODING,
-        "p_value": "add-one permutation",
-    }
+    config = {f.name: getattr(grid, f.name) for f in fields(grid) if f.name != "cells"}
+    config.update(tests=list(grid.tests), y_encoding=Y_ENCODING, p_value="add-one permutation")
     elapsed = time.perf_counter() - start
     return TableReport(cells=cells, config=config, elapsed_seconds=elapsed)

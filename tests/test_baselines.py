@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import dcov_statistic, discrete_label_distances, random_distances, random_labels
+from conftest import (
+    dcov_statistic,
+    discrete_label_distances,
+    random_distances,
+    random_labels,
+    traced_peak_bytes,
+)
 
 from mddtest import (
     DistanceMatrix,
@@ -13,6 +19,7 @@ from mddtest import (
     double_center,
     hhg_statistic_discrete,
 )
+from mddtest.baselines import _chi_squares
 from mddtest.inference import _null_pvalues
 
 
@@ -219,6 +226,27 @@ def test_hhg_discrete_one_tied_row_takes_the_general_path():
     codes[[0, 3, 5]] = 0
     codes[[1, 2, 4]] = 1
     assert _batch_matches_oracle(ranks, codes, rng)
+
+
+def test_hhg_discrete_empty_class_adds_nothing():
+    rng = np.random.default_rng(16)
+    codes = np.array([1, 2, 1, 2, 2, 1, 2, 2])
+    for ties in (True, False):
+        ranks = build_ranks(random_distances(rng, 8, ties=ties))
+        batch = np.array([codes] + [rng.permutation(codes) for _ in range(9)])
+        got = hhg_statistic_discrete(ranks, batch, np.array([0, 3, 5]))
+        want = hhg_statistic_discrete(ranks, batch - 1, np.array([3, 5]))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), ties
+        oracle = [hhg_discrete_loop(ranks, c, np.array([0, 3, 5])) for c in batch]
+        assert np.array_equal(got, oracle), ties
+
+
+def test_chi_square_table_peaks_below_four_tables():
+    # the table of one class at n = 1000, n_r = 667, as hhg_statistic_discrete builds it
+    n, size = 1000, 667
+    args = (np.arange(-2, size - 1)[:, None], np.arange(-2, n - 1), size - 2, n - 2)
+    table_bytes = (size + 1) * (n + 1) * 8
+    assert traced_peak_bytes(_chi_squares, *args) < 4 * table_bytes
 
 
 def test_hhg_discrete_rejects_codes_that_disagree_with_counts():
