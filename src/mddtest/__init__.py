@@ -71,10 +71,6 @@ from .metrics import (
 )
 from .simulate import (
     ScenarioSpec,
-    gen_ellipse_shapes,
-    gen_gaussian,
-    gen_sphere_coords,
-    gen_vmf,
     generate,
     label_proportions,
     sample_vmf,
@@ -125,10 +121,6 @@ __all__ = [
     "estimate_naive",
     "euclidean_distances",
     "fresh_seed",
-    "gen_ellipse_shapes",
-    "gen_gaussian",
-    "gen_sphere_coords",
-    "gen_vmf",
     "generate",
     "hhg_statistic_discrete",
     "label_proportions",

@@ -21,7 +21,7 @@ from .errors import CsvFormatError, InvalidSpec, MddError, MetricError, SizeMism
 from .estimator import LabelVector, build_ranks
 from .harness import distances_for, run_grid
 from .inference import bh_adjust, check_permutation_settings, permutation_test
-from .metrics import PointSet, load_precomputed
+from .metrics import PointSet, _adopt_precomputed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +86,7 @@ def _cmd_test(args) -> int:
     )
     labels = LabelVector.from_values(raw_labels)
     if args.matrix is not None:
-        d = load_precomputed(fileio.load_numeric_csv(args.matrix))
+        d = _adopt_precomputed(fileio.load_numeric_csv(args.matrix))
     else:
         rows = fileio.load_numeric_csv(args.points)
         if args.metric == "shape":
@@ -97,7 +97,7 @@ def _cmd_test(args) -> int:
                 )
             rows = rows.reshape(rows.shape[0], -1, 2)
         # every point set is measured under its own metric; sphere rows along the sphere
-        d = distances_for(PointSet(args.metric or "euclidean", rows), "geodesic")
+        d = distances_for(PointSet._from_fresh(args.metric or "euclidean", rows), "geodesic")
     if labels.n != d.n:
         raise SizeMismatch(
             f"{args.labels} holds {labels.n} labels but the point source holds "

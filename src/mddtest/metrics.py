@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     AsymmetricMatrix,
     DegenerateShape,
+    MetricError,
     NegativeDistance,
     NonFiniteEntry,
     NonFinitePoint,
@@ -66,12 +67,12 @@ class PointSet:
 
     def _adopt(self, data: np.ndarray) -> None:
         if self.kind not in POINT_KINDS:
-            raise ValueError(f"unknown point kind {self.kind!r}")
+            raise MetricError(f"unknown point kind {self.kind!r}")
         if self.kind == "shape":
             if data.ndim != 3 or data.shape[2] != 2:
-                raise ValueError("shape data must have shape (n, L, 2)")
+                raise MetricError("shape data must have shape (n, L, 2)")
         elif data.ndim != 2:
-            raise ValueError(f"{self.kind} data must have shape (n, p)")
+            raise MetricError(f"{self.kind} data must have shape (n, p)")
         if data.shape[0] < 2:
             raise TooFewSamples(f"need at least 2 points, got {data.shape[0]}")
         if not np.isfinite(data).all():
@@ -86,7 +87,7 @@ class PointSet:
                 )
         if self.kind == "shape":
             if data.shape[1] < 3:
-                raise ValueError("landmark configurations need at least 3 landmarks")
+                raise MetricError("landmark configurations need at least 3 landmarks")
             with np.errstate(over="ignore", invalid="ignore"):
                 centred = data - data.mean(axis=1, keepdims=True)
                 norms = np.sqrt(np.square(centred, out=centred).sum(axis=(1, 2)))
@@ -178,7 +179,7 @@ def _row_blocks(count: int, width: int) -> list[slice]:
 
 def _require_kind(points: PointSet, kind: str) -> None:
     if points.kind != kind:
-        raise ValueError(f"expected a {kind} point set, got {points.kind!r}")
+        raise MetricError(f"expected a {kind} point set, got {points.kind!r}")
 
 
 def euclidean_distances(points: PointSet) -> DistanceMatrix:
@@ -252,7 +253,11 @@ def load_precomputed(matrix) -> DistanceMatrix:
     """A user-supplied distance matrix, copied once and checked as by ``DistanceMatrix``,
     but with asymmetry up to ``SYMMETRY_TOL`` averaged away and a diagonal up to
     ``DIAGONAL_TOL`` set to zero.  ``matrix`` itself is never changed."""
-    values = np.array(matrix, dtype=np.float64, order="C")
+    return _adopt_precomputed(np.array(matrix, dtype=np.float64, order="C"))
+
+
+def _adopt_precomputed(values: np.ndarray) -> DistanceMatrix:
+    """``load_precomputed`` without its copy, for a fresh float64 array no caller holds."""
     return DistanceMatrix._from_fresh(values, SYMMETRY_TOL, DIAGONAL_TOL)
 
 

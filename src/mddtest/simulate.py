@@ -12,9 +12,12 @@ and a seed:
 * ``sim4`` -- planar ellipse landmark configurations whose class is
   carried by the correlation between the two coordinates.
 
-Labels are drawn iid with proportions ``p_r = 2(1 + (r-1)/(R-1))/(3R)``
-and redrawn in full until every class appears at least once, so the
-class count inferred downstream always matches ``R``.
+:func:`generate` is the one entry: it draws the labels, lets
+:func:`draws_null` decide whether the cell is independent and wraps the
+scenario's points.  Labels are drawn iid with proportions
+``p_r = 2(1 + (r-1)/(R-1))/(3R)`` and redrawn in full until every class
+appears at least once, so the class count inferred downstream always
+matches ``R``.
 
 Coordinate-tuple scenarios (column 1) return raw ``(1, theta,
 phi, ...)`` rows as a euclidean point set; feed them through
@@ -24,7 +27,7 @@ wanted instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,13 +85,13 @@ class ScenarioSpec:
                 raise InvalidSpec(
                     f"column {self.column} needs dim >= {min_dim}, got {self.dim}"
                 )
-        if self.scenario == "sim4":
+        else:
             if self.landmarks < 3:
                 raise InvalidSpec(f"need at least 3 landmarks, got {self.landmarks}")
             if not 0.0 <= self.corr < 1.0:
                 raise InvalidSpec(f"corr must lie in [0, 1), got {self.corr}")
         if self.scenario in ("sim2", "sim3") and self.column == 3:
-            _gaussian_means(self)  # raises for a class count without standard means
+            _gaussian_means(self.R, self.null)  # raises for a class count without standard means
 
 
 def label_proportions(R: int) -> np.ndarray:
@@ -117,7 +120,7 @@ def _noise_draws(rng: np.random.Generator, df: int, size) -> np.ndarray:
     return rng.standard_t(df, size=size)
 
 
-def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
+def _sphere_coords(spec: ScenarioSpec, rng, labels: LabelVector, null: bool) -> np.ndarray:
     """Raw coordinate tuples ``(1, theta, phi_1, ..., phi_q)``.
 
     ``theta`` is uniform on (-pi, pi).  Under independence every
@@ -129,24 +132,20 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
     draw is taken per observation and added to each of its ``phi``
     coordinates.
     """
-    rng = _substream(seed, 1)
-    labels = _draw_labels(rng, spec.R, spec.n)
     n = spec.n
     q = spec.dim - 2
     theta = rng.uniform(-np.pi, np.pi, size=n)
-    phi = np.empty((n, q))
-    if spec.null:
-        phi[:] = rng.uniform(-np.pi, np.pi, size=(n, q))
+    if null:
+        phi = rng.uniform(-np.pi, np.pi, size=(n, q))
         eps = np.zeros(n)
     elif spec.R == 2:
         # sim2 uses the window (pi/5, 4pi/5); the growing-dimension
         # variant shifts its lower end below zero.
         low = np.pi / 5.0 if spec.scenario != "sim3" else -np.pi / 5.0
-        high = 4.0 * np.pi / 5.0
         draws = rng.uniform(-np.pi, np.pi, size=(n, q))
-        narrow = rng.uniform(low, high, size=(n, q))
+        narrow = rng.uniform(low, 4.0 * np.pi / 5.0, size=(n, q))
         in_class1 = labels.codes == 1
-        phi[:] = np.where(in_class1[:, None], narrow, draws)
+        phi = np.where(in_class1[:, None], narrow, draws)
         eps = np.where(in_class1, _noise_draws(rng, 1, n), 0.0)
     else:
         lows = (-1.0 + 2.0 * np.arange(spec.R) / spec.R) * np.pi
@@ -154,10 +153,9 @@ def gen_sphere_coords(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVec
         unit = rng.uniform(0.0, 1.0, size=(n, q))
         lo = lows[labels.codes][:, None]
         hi = highs[labels.codes][:, None]
-        phi[:] = lo + unit * (hi - lo)
+        phi = lo + unit * (hi - lo)
         eps = _noise_draws(rng, 1, n)
-    rows = np.column_stack([np.ones(n), theta, phi + eps[:, None]])
-    return PointSet._from_fresh("euclidean", rows), labels
+    return np.column_stack([np.ones(n), theta, phi + eps[:, None]])
 
 
 def sample_vmf(
@@ -228,7 +226,7 @@ def _vmf_directions(R: int, dim: int) -> np.ndarray:
     return out
 
 
-def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
+def _vmf_rows(spec: ScenarioSpec, rng, labels: LabelVector, null: bool) -> np.ndarray:
     """Unit rows from class-wise von Mises-Fisher laws.
 
     Class ``r`` uses the mean direction ``(cos a_r, sin a_r, 0, ...)``
@@ -237,45 +235,39 @@ def gen_vmf(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
     (4, 3, 1, 5, 2)), at concentration 1.  Independence cells draw
     uniformly on the sphere (zero concentration).
     """
-    rng = _substream(seed, 1)
-    labels = _draw_labels(rng, spec.R, spec.n)
+    if null:
+        return sample_vmf(rng, np.eye(spec.dim)[0], 0.0, spec.n)
     rows = np.empty((spec.n, spec.dim))
-    if spec.null:
-        rows[:] = sample_vmf(rng, np.eye(spec.dim)[0], 0.0, spec.n)
-    else:
-        directions = _vmf_directions(spec.R, spec.dim)
-        for r in range(spec.R):
-            idx = np.flatnonzero(labels.codes == r)
-            rows[idx] = sample_vmf(rng, directions[r], 1.0, idx.size)
-    return PointSet._from_fresh("sphere", rows), labels
+    directions = _vmf_directions(spec.R, spec.dim)
+    for r in range(spec.R):
+        idx = np.flatnonzero(labels.codes == r)
+        rows[idx] = sample_vmf(rng, directions[r], 1.0, idx.size)
+    return rows
 
 
-def _gaussian_means(spec: ScenarioSpec) -> np.ndarray:
-    if spec.null:
-        return np.zeros(spec.R)
+def _gaussian_means(R: int, null: bool) -> np.ndarray:
+    if null:
+        return np.zeros(R)
     try:
-        return np.asarray(_GAUSS_CLASS_MEANS[spec.R])
+        return np.asarray(_GAUSS_CLASS_MEANS[R])
     except KeyError:
-        raise InvalidSpec(f"no standard Gaussian means for R={spec.R}") from None
+        raise InvalidSpec(f"no standard Gaussian means for R={R}") from None
 
 
-def gen_gaussian(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
+def _gaussian_rows(spec: ScenarioSpec, rng, labels: LabelVector, null: bool) -> np.ndarray:
     """Gaussian rows, unit variance, the class mean in every coordinate.
 
     Two classes use means (0, 0.6); five use (4, 3, 1, 5, 2)/3; other
-    class counts raise :class:`InvalidSpec` unless the cell is null.
+    class counts draw only in null cells, as ``ScenarioSpec`` refuses the rest.
     """
-    rng = _substream(seed, 1)
-    labels = _draw_labels(rng, spec.R, spec.n)
-    means = _gaussian_means(spec)
-    rows = rng.standard_normal((spec.n, spec.dim)) + means[labels.codes][:, None]
-    return PointSet._from_fresh("euclidean", rows), labels
+    means = _gaussian_means(spec.R, null)
+    return rng.standard_normal((spec.n, spec.dim)) + means[labels.codes][:, None]
 
 
 ELLIPSE_NOISE_SCALE = 1.0 / 25.0
 
 
-def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
+def _ellipse_shapes(spec: ScenarioSpec, rng, labels: LabelVector, null: bool) -> np.ndarray:
     """Planar landmark configurations sampling circles against ellipses.
 
     Landmark ``l`` of a configuration with coordinate correlation
@@ -288,19 +280,15 @@ def gen_ellipse_shapes(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVe
     floor below the circle-to-ellipse separation once corr reaches
     about 0.15.
     """
-    if spec.R != 2:
-        raise InvalidR(f"the shape scenario is defined for R=2, got R={spec.R}")
-    rng = _substream(seed, 1)
-    labels = _draw_labels(rng, spec.R, spec.n)
     L = spec.landmarks
     t = (np.arange(L) + 0.5) * (2.0 * np.pi / L)
-    corr = 0.0 if spec.null else spec.corr
+    corr = 0.0 if null else spec.corr
     angle = np.where(labels.codes == 1, np.arccos(corr), np.pi / 2.0)
     eps = _noise_draws(rng, 2, (spec.n, L)) * ELLIPSE_NOISE_SCALE
     configs = np.empty((spec.n, L, 2))
     configs[:, :, 0] = np.cos(t[None, :] + angle[:, None] / 2.0) + eps
     configs[:, :, 1] = np.cos(t[None, :] - angle[:, None] / 2.0) + eps
-    return PointSet._from_fresh("shape", configs), labels
+    return configs
 
 
 def draws_null(spec: ScenarioSpec) -> bool:
@@ -309,13 +297,13 @@ def draws_null(spec: ScenarioSpec) -> bool:
 
 
 def generate(spec: ScenarioSpec, seed: int) -> tuple[PointSet, LabelVector]:
-    """Dispatch a spec to its generator."""
-    if draws_null(spec):
-        spec = replace(spec, null=True)
+    """The one way to draw a cell: labels, then points, from the ``(seed, 1)``
+    substream; :func:`draws_null` decides whether the points depend on the labels."""
+    rng = _substream(seed, 1)
+    labels = _draw_labels(rng, spec.R, spec.n)
     if spec.scenario == "sim4":
-        return gen_ellipse_shapes(spec, seed)
-    if spec.column == 1:
-        return gen_sphere_coords(spec, seed)
-    if spec.column == 2:
-        return gen_vmf(spec, seed)
-    return gen_gaussian(spec, seed)
+        draw, kind = _ellipse_shapes, "shape"
+    else:
+        draw = (_sphere_coords, _vmf_rows, _gaussian_rows)[spec.column - 1]
+        kind = "sphere" if spec.column == 2 else "euclidean"
+    return PointSet._from_fresh(kind, draw(spec, rng, labels, draws_null(spec))), labels

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mddtest import InvalidLabels, LabelVector, cli
+from conftest import traced_bytes_per_entry
+
+from mddtest import InvalidLabels, InvalidSpec, LabelVector, cli
 from mddtest.cli import main
 from mddtest.fileio import validate_result_dict
 
@@ -983,6 +985,30 @@ def test_matrix_entries_near_the_float_maximum_are_accepted(tmp_path, capsys):
         "--seed", "1", "--output", str(out),
     ]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["statistic"] == 0.125
+    capsys.readouterr()
+
+
+def test_matrix_load_keeps_one_float_array_per_entry(tmp_path, monkeypatch, capsys):
+    # the parsed matrix is checked in place; a copy of it, as load_precomputed
+    # takes, would hold a second float64 array and read 19.7 bytes per entry
+    n = 200
+    rng = np.random.default_rng(4)
+    points = rng.standard_normal((n, 3))
+    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    matrix = write(tmp_path / "m.csv", "".join(",".join(map(repr, r)) + "\n" for r in d.tolist()))
+    labels = write(tmp_path / "l.csv", "".join(f"{i % 2}\n" for i in range(n)))
+    loaded = []
+
+    def stop_after_loading(dm):
+        loaded.append(dm.values)
+        raise InvalidSpec("stop after loading")
+
+    monkeypatch.setattr(cli, "build_ranks", stop_after_loading)
+    argv = ["test", "--matrix", matrix, "--labels", labels, "--output", str(tmp_path / "r.json")]
+    assert main(argv) == 2  # warm: first-call imports are not the load's
+    loaded.clear()
+    assert traced_bytes_per_entry(n, main, argv) < 14
+    assert np.array_equal(loaded[0], d) and not loaded[0].flags.writeable
     capsys.readouterr()
 
 

@@ -267,7 +267,7 @@ def test_permutation_test_checks_its_inputs_before_drawing(monkeypatch):
 def test_sample_above_the_exact_bound_exits_2_without_a_kernel(tmp_path, monkeypatch, capsys):
     n = MAX_EXACT_N + 1
     stand_in = RankStructure(order=None, sorted_counts=None, n=n)
-    monkeypatch.setattr(cli, "load_precomputed", lambda values: SimpleNamespace(n=n))
+    monkeypatch.setattr(cli, "_adopt_precomputed", lambda values: SimpleNamespace(n=n))
     monkeypatch.setattr(cli.fileio, "load_numeric_csv", lambda path: None)
     monkeypatch.setattr(cli, "build_ranks", lambda d: stand_in)
     labels_csv = tmp_path / "labels.csv"

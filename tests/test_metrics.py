@@ -16,6 +16,8 @@ from mddtest import (
     AsymmetricMatrix,
     DegenerateShape,
     DistanceMatrix,
+    MddError,
+    MetricError,
     NegativeDistance,
     NonFiniteEntry,
     NonFinitePoint,
@@ -61,6 +63,26 @@ def test_euclidean_rigid_motion_invariance():
     d0 = euclidean_distances(PointSet.euclidean(pts))
     d1 = euclidean_distances(PointSet.euclidean(moved))
     assert np.abs(d0.values - d1.values).max() <= 1e-9
+
+
+def test_point_space_violations_are_metric_errors():
+    # the package's own error types, so the CLI maps them to exit 3, and
+    # still ValueErrors for callers that catch those
+    violations = (
+        lambda: PointSet("torus", np.eye(2)),
+        lambda: PointSet._from_fresh("torus", np.eye(2)),
+        lambda: PointSet.euclidean(np.zeros(3)),
+        lambda: PointSet.shape(np.zeros((2, 4))),
+        lambda: PointSet.shape(np.zeros((2, 2, 2))),
+        lambda: euclidean_distances(PointSet.sphere(np.eye(3))),
+        lambda: sphere_distances(PointSet.euclidean(np.eye(3))),
+        lambda: shape_distances(PointSet.euclidean(np.eye(3))),
+        lambda: unit_sphere_embedding(PointSet.sphere(np.eye(3))),
+    )
+    for violation in violations:
+        with pytest.raises(MetricError) as err:
+            violation()
+        assert isinstance(err.value, MddError) and isinstance(err.value, ValueError)
 
 
 def test_euclidean_triangle_inequality():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,6 @@ from mddtest import (
     InvalidR,
     InvalidSpec,
     ScenarioSpec,
-    gen_ellipse_shapes,
-    gen_gaussian,
-    gen_sphere_coords,
-    gen_vmf,
     generate,
     label_proportions,
     sample_vmf,
@@ -27,11 +25,11 @@ def ks_against_uniform(x, lo, hi):
     return float(max(hi_side, lo_side))
 
 
-def noiseless(generator, spec, seed):
-    """The generator's draw with every noise term set to zero."""
+def noiseless(spec, seed):
+    """The cell's draw with every noise term set to zero."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_noise_draws", lambda rng, df, size: np.zeros(size))
-        return generator(spec, seed=seed)
+        return generate(spec, seed=seed)
 
 
 def test_label_proportions_closed_form():
@@ -65,7 +63,7 @@ def test_generated_labels_frequencies_and_determinism():
 
 def test_independence_cells_are_uniform():
     spec = ScenarioSpec(scenario="sim2", column=1, R=2, n=4000, dim=4, null=True)
-    points, labels = gen_sphere_coords(spec, seed=11)
+    points, labels = generate(spec, seed=11)
     rows = points.data
     assert points.kind == "euclidean"
     assert np.all(rows[:, 0] == 1.0)
@@ -77,7 +75,7 @@ def test_independence_cells_are_uniform():
 
 def test_two_class_windows_and_selective_noise():
     spec = ScenarioSpec(scenario="sim2", column=1, R=2, n=600, dim=3)
-    points, labels = noiseless(gen_sphere_coords, spec, seed=3)
+    points, labels = noiseless(spec, seed=3)
     phi = points.data[:, 2]
     c1 = labels.codes == 1
     assert phi[c1].min() > np.pi / 5.0 and phi[c1].max() < 4.0 * np.pi / 5.0
@@ -85,13 +83,13 @@ def test_two_class_windows_and_selective_noise():
     assert phi[~c1].min() < np.pi / 5.0 or phi[~c1].max() > 4.0 * np.pi / 5.0
 
     # same seed with heavy-tailed noise: only class-1 rows move
-    noisy, labels2 = gen_sphere_coords(spec, seed=3)
+    noisy, labels2 = generate(spec, seed=3)
     assert np.array_equal(labels.codes, labels2.codes)
     assert np.array_equal(points.data[~c1], noisy.data[~c1])
     assert not np.array_equal(points.data[c1], noisy.data[c1])
 
     wide_pts, wide_labels = noiseless(
-        gen_sphere_coords, ScenarioSpec(scenario="sim3", column=1, R=2, n=600, dim=3), seed=3
+        ScenarioSpec(scenario="sim3", column=1, R=2, n=600, dim=3), seed=3
     )
     wide = wide_pts.data[:, 2]
     c1w = wide_labels.codes == 1
@@ -101,7 +99,7 @@ def test_two_class_windows_and_selective_noise():
 
 def test_multiclass_partition_windows():
     spec = ScenarioSpec(scenario="sim2", column=1, R=5, n=1000, dim=3)
-    points, labels = noiseless(gen_sphere_coords, spec, seed=9)
+    points, labels = noiseless(spec, seed=9)
     phi = points.data[:, 2]
     for r in range(5):
         lo = (-1.0 + 2.0 * r / 5.0) * np.pi
@@ -112,7 +110,7 @@ def test_multiclass_partition_windows():
 
 def test_multiclass_noise_is_shared_across_coordinates():
     spec = ScenarioSpec(scenario="sim2", column=1, R=5, n=500, dim=5)
-    points, _labels = gen_sphere_coords(spec, seed=13)
+    points, _labels = generate(spec, seed=13)
     phi = points.data[:, 2:]
     window_width = 2.0 * np.pi / 5.0
     # one draw per observation shifts all phi coordinates together
@@ -175,7 +173,7 @@ def test_vmf_rejection_rounds_are_bounded():
 def test_gen_vmf_class_directions():
     # at the scenario's unit concentration, class means need many draws to settle
     spec = ScenarioSpec(scenario="sim2", column=2, R=5, n=20000, dim=3)
-    points, labels = gen_vmf(spec, seed=19)
+    points, labels = generate(spec, seed=19)
     assert points.kind == "sphere"
     angles = (4.0, 3.0, 1.0, 5.0, 2.0)
     for r in range(5):
@@ -184,14 +182,14 @@ def test_gen_vmf_class_directions():
         assert float(mean / np.linalg.norm(mean) @ target) >= 0.95
 
     two = ScenarioSpec(scenario="sim2", column=2, R=2, n=20000, dim=4)
-    pts2, lab2 = gen_vmf(two, seed=19)
+    pts2, lab2 = generate(two, seed=19)
     for r, angle in ((0, 1.0), (1, 2.0)):
         target = np.zeros(4)
         target[0], target[1] = np.cos(angle), np.sin(angle)
         mean = pts2.data[lab2.codes == r].mean(axis=0)
         assert float(mean / np.linalg.norm(mean) @ target) >= 0.95
 
-    null = gen_vmf(
+    null = generate(
         ScenarioSpec(scenario="sim2", column=2, R=2, n=20000, dim=3, null=True), seed=19
     )[0]
     assert np.linalg.norm(null.data.mean(axis=0)) <= 0.03
@@ -199,29 +197,28 @@ def test_gen_vmf_class_directions():
 
 def test_gen_gaussian_class_means():
     spec = ScenarioSpec(scenario="sim2", column=3, R=2, n=4000, dim=3)
-    points, labels = gen_gaussian(spec, seed=23)
+    points, labels = generate(spec, seed=23)
     for r, mean in ((0, 0.0), (1, 0.6)):
         got = points.data[labels.codes == r].mean()
         assert abs(got - mean) <= 0.1
     five = ScenarioSpec(scenario="sim2", column=3, R=5, n=8000, dim=2)
-    pts5, lab5 = gen_gaussian(five, seed=23)
+    pts5, lab5 = generate(five, seed=23)
     for r, mean in enumerate((4.0 / 3.0, 1.0, 1.0 / 3.0, 5.0 / 3.0, 2.0 / 3.0)):
         assert abs(pts5.data[lab5.codes == r].mean() - mean) <= 0.1
     null = ScenarioSpec(scenario="sim2", column=3, R=2, n=4000, dim=3, null=True)
-    ptsn, labn = gen_gaussian(null, seed=23)
+    ptsn, labn = generate(null, seed=23)
     assert abs(ptsn.data[labn.codes == 1].mean()) <= 0.1
-    with pytest.raises(InvalidSpec):
-        gen_gaussian(
-            ScenarioSpec(scenario="sim2", column=3, R=3, n=60, dim=2), seed=1
-        )
-    # a direct call can still hand the generator a spec without standard means
     with pytest.raises(InvalidSpec, match="no standard Gaussian means"):
-        gen_gaussian(ScenarioSpec(scenario="sim2", column=2, R=3, n=60, dim=2), seed=1)
+        ScenarioSpec(scenario="sim2", column=3, R=3, n=60, dim=2)
+    # a sim1 cell is independent, so any class count draws, every class at mean 0
+    pts3, lab3 = generate(ScenarioSpec(scenario="sim1", column=3, R=3, n=6000, dim=2), seed=23)
+    for r in range(3):
+        assert abs(pts3.data[lab3.codes == r].mean()) <= 0.1
 
 
 def test_ellipse_shapes_clean_geometry():
     spec = ScenarioSpec(scenario="sim4", R=2, n=80, landmarks=20, corr=0.2)
-    points, labels = noiseless(gen_ellipse_shapes, spec, seed=29)
+    points, labels = noiseless(spec, seed=29)
     assert points.kind == "shape"
     d = shape_distances(points).values
     same = labels.codes[:, None] == labels.codes[None, :]
@@ -231,14 +228,14 @@ def test_ellipse_shapes_clean_geometry():
     assert np.abs(d[~same] - expected).max() <= 1e-7
 
     null = ScenarioSpec(scenario="sim4", R=2, n=40, landmarks=20, corr=0.2, null=True)
-    d0 = shape_distances(noiseless(gen_ellipse_shapes, null, seed=29)[0]).values
+    d0 = shape_distances(noiseless(null, seed=29)[0]).values
     assert d0.max() <= 1e-7
 
 
 def test_ellipse_noise_is_shared_between_coordinates():
     spec = ScenarioSpec(scenario="sim4", R=2, n=30, landmarks=12, corr=0.1)
-    points, labels = gen_ellipse_shapes(spec, seed=31)
-    clean, _ = noiseless(gen_ellipse_shapes, spec, seed=31)
+    points, labels = generate(spec, seed=31)
+    clean, _ = noiseless(spec, seed=31)
     residual_x = points.data[:, :, 0] - clean.data[:, :, 0]
     residual_y = points.data[:, :, 1] - clean.data[:, :, 1]
     # subtracting different clean coordinates rounds differently, so the
@@ -252,16 +249,14 @@ def test_ellipse_shapes_hand_their_configurations_over_uncopied():
     # temporaries peak at 2.6 times that, and copying the result into the
     # point set read 3.5
     spec = ScenarioSpec(scenario="sim4", R=2, n=800, landmarks=50, corr=0.3)
-    points, _ = gen_ellipse_shapes(spec, seed=1)  # warm: first-call imports are not the generator's
+    points, _ = generate(spec, seed=1)  # warm: first-call imports are not the generator's
     assert not points.data.flags.writeable
-    assert traced_peak_bytes(gen_ellipse_shapes, spec, 1) < 3 * points.data.nbytes
+    assert traced_peak_bytes(generate, spec, 1) < 3 * points.data.nbytes
 
 
 def test_ellipse_shapes_validation():
     with pytest.raises(InvalidR):
-        gen_ellipse_shapes(ScenarioSpec(scenario="sim4", R=3, n=30), seed=1)
-    with pytest.raises(InvalidR):
-        gen_ellipse_shapes(ScenarioSpec(scenario="sim2", column=2, R=3, n=30), seed=1)
+        ScenarioSpec(scenario="sim4", R=3, n=30)
     with pytest.raises(InvalidSpec):
         ScenarioSpec(scenario="sim4", R=2, n=30, landmarks=2)
     with pytest.raises(InvalidSpec):
@@ -320,3 +315,40 @@ def test_sim1_always_draws_the_null():
     )
     assert np.array_equal(forced.data, null.data)
     assert np.array_equal(labels.codes, labels2.codes)
+
+
+def pinned_specs():
+    """Every scenario, column, null flag and R in (2, 3, 5) that ScenarioSpec
+    admits, plus three shape cells: 55 specs."""
+    specs = []
+    for scenario in ("sim1", "sim2", "sim3"):
+        for column in (1, 2, 3):
+            for R in (2, 3, 5):
+                for null in (False, True):
+                    dim = 5 if scenario == "sim3" else 4
+                    try:
+                        specs.append(ScenarioSpec(scenario, column, R, 30, dim, null=null))
+                    except InvalidSpec:  # sim2 and sim3 Gaussian rows with R = 3
+                        pass
+    for corr, null in ((0.0, False), (0.3, False), (0.3, True)):
+        specs.append(ScenarioSpec("sim4", n=30, landmarks=8, corr=corr, null=null))
+    return specs
+
+
+# sha256 over kind, points and label codes of every pinned spec at seeds 0, 7
+# and 2**64 - 1, recorded at f6aea70, before the draws took their labels and
+# null flag from generate
+GENERATE_SHA256 = "462f93dada169cc8e78511edb6a7f2470ab3495d4149d271299d94ff4ae4ca06"
+
+
+def test_generate_keeps_its_bits():
+    specs = pinned_specs()
+    assert len(specs) == 55
+    digest = hashlib.sha256()
+    for spec in specs:
+        for seed in (0, 7, 2**64 - 1):
+            points, labels = generate(spec, seed)
+            digest.update(points.kind.encode())
+            digest.update(points.data.tobytes())
+            digest.update(labels.codes.tobytes())
+    assert digest.hexdigest() == GENERATE_SHA256
