@@ -93,8 +93,10 @@ def hhg_statistic_discrete(
         r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
         table = _chi_squares(n11, r1, size - 2, n - 2).ravel()
         run_end = np.arange(1, size + 1, dtype=np.int32)
-        # 4 n_r^2 entries per coding keep the int32 and float64
-        # temporaries of one block near 1 MB
+        # 4 n_r^2 entries per coding hold a block to _CHUNK / 4 (32768) member
+        # pairs, or one coding when n_r > 181.  A pair takes at most 24 bytes at
+        # once: int32 counts, an intp index and float64 chi-squares, plus int32
+        # run ends with ties, so a block holds about 0.8 MB
         for rows in _row_blocks(len(codings), 4 * size * size):
             block = codings[rows]
             members = np.nonzero(block == r)[1]
@@ -102,8 +104,8 @@ def hhg_statistic_discrete(
                 raise InvalidLabels(
                     f"a coding does not hold {size} observations of class {r}"
                 )
-            members = members.reshape(len(block), size).astype(np.int32)
-            within = ball[members[:, :, None] * np.int32(n) + members[:, None, :]]
+            members = members.reshape(len(block), size)
+            within = np.take(ball, members[:, :, None] * n + members[:, None, :])
             within.sort(axis=2)
             # without ties sorted position t ends its own run: a = t + 1
             ends = run_end
@@ -113,8 +115,10 @@ def hhg_statistic_discrete(
                 last = np.ones(within.shape, dtype=bool)
                 np.not_equal(within[..., 1:], within[..., :-1], out=last[..., :-1])
                 ends = np.where(last, run_end, np.int32(size))
+                del last
                 ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
             # sorted position 0 is the centre itself, at distance 0
-            index = ends[..., 1:] * np.int32(n + 1) + within[..., 1:]
-            total[rows] += table[index].reshape(len(block), -1).sum(axis=1)
+            index = ends[..., 1:] * np.intp(n + 1) + within[..., 1:]
+            total[rows] += np.take(table, index).reshape(len(block), -1).sum(axis=1)
+            del within, ends, index  # freed before the next block allocates its own
     return total

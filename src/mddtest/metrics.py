@@ -199,9 +199,11 @@ def euclidean_distances(points: PointSet) -> DistanceMatrix:
         with np.errstate(over="ignore"):
             diff = data[rows, None, :] - data
             np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, out=block), out=block)
-        if not np.isfinite(block).all():
-            raise NonFiniteEntry("a pairwise distance overflows float64; rescale the points")
-    return DistanceMatrix._from_fresh(out)
+    try:
+        return DistanceMatrix._from_fresh(out)
+    except NonFiniteEntry:
+        # the points are finite, so only a sum of squares can have overflowed
+        raise NonFiniteEntry("a pairwise distance overflows float64; rescale the points") from None
 
 
 def _arccos_in_place(cosines: np.ndarray, low: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from mddtest import (
 )
 from mddtest.baselines import _chi_squares
 from mddtest.inference import _null_pvalues
+from mddtest.metrics import _CHUNK, _row_blocks
 
 
 def test_double_center_worked_example():
@@ -200,6 +201,10 @@ def test_hhg_discrete_batch_is_bitwise_the_per_coding_oracle():
     cases.append((random_distances(rng, 200), np.arange(200) % 2))
     for dx, codes in cases:
         assert _batch_matches_oracle(build_ranks(dx), codes, rng, 7)
+    # a preset-sized integer grid: 30 codings of two classes of 60 span 4 row blocks
+    assert len(_row_blocks(30, 4 * 60 * 60)) == 4
+    dx = random_distances(rng, 120, ties=True)
+    assert _batch_matches_oracle(build_ranks(dx), np.arange(120) % 2, rng, 29)
 
 
 def test_hhg_discrete_tie_free_batch_is_bitwise_the_oracle():
@@ -247,6 +252,22 @@ def test_chi_square_table_peaks_below_four_tables():
     args = (np.arange(-2, size - 1)[:, None], np.arange(-2, n - 1), size - 2, n - 2)
     table_bytes = (size + 1) * (n + 1) * 8
     assert traced_peak_bytes(_chi_squares, *args) < 4 * table_bytes
+
+
+def test_hhg_discrete_peaks_near_one_row_block():
+    # an integer grid, so the tie path builds its run ends and mask
+    rng = np.random.default_rng(16)
+    n, size = 160, 80
+    ranks = build_ranks(random_distances(rng, n, ties=True))
+    codes = np.arange(n) % 2
+    batch = np.array([rng.permutation(codes) for _ in range(100)])
+    # beside the int32 ball counts and one class's float64 table, a block holds
+    # _CHUNK // (4 n_r^2) codings of n_r^2 member pairs, at most 24 bytes a pair
+    # at once; 32 leaves room for numpy's cast buffers, but not for a second
+    # block's temporaries beside the first
+    pairs = _CHUNK // (4 * size * size) * size * size
+    bound = 4 * n * n + (size + 1) * (n + 1) * 8 + 32 * pairs
+    assert traced_peak_bytes(hhg_statistic_discrete, ranks, batch, np.bincount(codes)) < bound
 
 
 def test_hhg_discrete_rejects_codes_that_disagree_with_counts():
