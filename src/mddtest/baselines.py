@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidLabels, SizeMismatch, TooFewSamples
-from .estimator import RankStructure
+from .estimator import RankStructure, _in_column_order, _run_ends
 from .metrics import _row_blocks
 
 
@@ -66,11 +66,10 @@ def hhg_statistic_discrete(
     class members in that ball, so each class tabulates its
     chi-squares over ``(a, C)`` once per call.  A coding sorts its
     members' ball counts per centre and reads ``a`` off the end of each
-    tie run.  When no row of distances ties, which is checked once per
-    call, every run has length one and ``a`` is the sorted position plus
-    one, so the run ends are never built.  Terms are summed centre by
-    centre in ascending distance, class by class, so every coding gets
-    the bits of a batch of one.
+    tie run.  When ``ranks.tie_free``, every run has length one and
+    ``a`` is the sorted position plus one, so the run ends are never
+    built.  Terms are summed centre by centre in ascending distance,
+    class by class, so every coding gets the bits of a batch of one.
     """
     n = ranks.n
     if n < 3:
@@ -81,18 +80,12 @@ def hhg_statistic_discrete(
     sizes = [int(c) for c in counts]
     if sum(sizes) != n:
         raise InvalidLabels(f"class counts sum to {sum(sizes)}, not n = {n}")
-    ball = np.empty((n, n), dtype=np.int32)
-    np.put_along_axis(ball, ranks.order, ranks.sorted_counts, axis=1)
-    ball = ball.ravel()
-    # without distance ties every row's ball counts are 1..n, so no two
-    # members of a centre's row share a count and each run has length one
-    tie_free = bool((ranks.sorted_counts == np.arange(1, n + 1)).all())
+    ball = _in_column_order(ranks, np.int32, lambda counts: counts).ravel()
     total = np.zeros(len(codings))
     for r, size in enumerate(sizes):
         n11 = np.arange(-2, size - 1)[:, None]  # a - 2 for a in 0..n_r
         r1 = np.arange(-2, n - 1)  # C - 2 for C in 0..n
         table = _chi_squares(n11, r1, size - 2, n - 2).ravel()
-        run_end = np.arange(1, size + 1, dtype=np.int32)
         # 4 n_r^2 entries per coding hold a block to _CHUNK / 4 (32768) member
         # pairs, or one coding when n_r > 181.  A pair takes at most 24 bytes at
         # once: int32 counts, an intp index and float64 chi-squares, plus int32
@@ -107,16 +100,9 @@ def hhg_statistic_discrete(
             members = members.reshape(len(block), size)
             within = np.take(ball, members[:, :, None] * n + members[:, None, :])
             within.sort(axis=2)
-            # without ties sorted position t ends its own run: a = t + 1
-            ends = run_end
-            if not tie_free:
-                # a is the end of the run of equal ball counts, found where
-                # the next count differs
-                last = np.ones(within.shape, dtype=bool)
-                np.not_equal(within[..., 1:], within[..., :-1], out=last[..., :-1])
-                ends = np.where(last, run_end, np.int32(size))
-                del last
-                ends = np.minimum.accumulate(ends[..., ::-1], axis=2)[..., ::-1]
+            # a is the end of the run of equal ball counts; without distance
+            # ties no two members of a row share a count, so a = t + 1
+            ends = np.arange(1, size + 1) if ranks.tie_free else _run_ends(within)
             # sorted position 0 is the centre itself, at distance 0
             index = ends[..., 1:] * np.intp(n + 1) + within[..., 1:]
             total[rows] += np.take(table, index).reshape(len(block), -1).sum(axis=1)

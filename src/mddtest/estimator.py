@@ -139,17 +139,20 @@ class RankStructure:
     readers take only values that are constant over a tie run.
     ``sorted_counts[i, t]`` is the inclusive count
     ``#{k : d(i, k) <= s_t}`` for the ``t``-th smallest distance
-    ``s_t`` in row ``i``, so ``sorted_counts[i, t] / n`` is the
-    empirical ball CDF ``F(i, order[i, t])``.  Runs of equal sorted
-    distances share one value, so these counts double as the tie-group
-    boundaries (a group ends at position ``sorted_counts[i, t] - 1``).
-    ``d(i, i) = 0`` is the row minimum, so ``sorted_counts[i, 0]`` is
-    the count of the ball ``B(i, i)``.
+    ``s_t`` in row ``i``, the 1-based end of its tie run, so
+    ``sorted_counts[i, t] / n`` is the empirical ball CDF
+    ``F(i, order[i, t])``.  ``d(i, i) = 0`` is the row minimum, so
+    ``sorted_counts[i, 0]`` is the count of the ball ``B(i, i)``.
+    ``tie_free`` is true when :func:`build_ranks` found no tie in any
+    row, so every row of ``sorted_counts`` is ``1..n``.  Only
+    ``build_ranks`` sets it, so a structure built by hand reads as tied,
+    which is always correct.
     """
 
     order: np.ndarray
     sorted_counts: np.ndarray
     n: int
+    tie_free: bool = field(default=False, init=False)
 
 
 @dataclass(frozen=True)
@@ -218,16 +221,15 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
     gives, and every position ends its tie run, so ``sorted_counts`` is
     ``1..n``.  A row where two do (a clash: a true tie, or distinct
     values equal once truncated) is sorted again by ``np.argsort``, and
-    its run ends are found from a plain sort: a sorted distance equal to
-    the next one is not the end of its run, and a reversed running
-    minimum over the run ends ``t + 1`` gives every position
-    ``#{k : d(i, k) <= s_t}`` under exact equality.  Once most rows of a
-    block clash, as on tie-heavy data, the later blocks skip the keys
-    and take that path for every row, which gives a tie-free row the
-    same bits.  Every step is row-local, so the blocks change no bit; a
-    block holds one ``uint64`` key and one adjacent-key difference per
-    entry.  Both arrays fit int32: an ``n x n`` float64 matrix with
-    ``n >= 2^31`` could not be held.
+    its counts ``#{k : d(i, k) <= s_t}`` are the :func:`_run_ends` of a
+    plain sort under exact equality.  Once most rows of a block clash,
+    as on tie-heavy data, the later blocks skip the keys and take that
+    path for every row, which gives a tie-free row the same bits.  Only
+    that path can meet a tie, so ``tie_free`` records what it saw.
+    Every step is row-local, so the blocks change no bit; a block holds
+    one ``uint64`` key and one adjacent-key difference per entry.  Both
+    arrays fit int32: an ``n x n`` float64 matrix with ``n >= 2^31``
+    could not be held.
     """
     n = d.n
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
@@ -237,11 +239,12 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
     order = np.empty((n, n), dtype=np.int32)
     sorted_counts = np.empty((n, n), dtype=np.int32)
     tie_heavy = False
+    tie_free = True
     for rows in _row_blocks(n, n):
-        sorted_counts[rows] = positions
         if tie_heavy:
-            _argsort_rows(d.values, rows, order, sorted_counts)
+            tie_free &= _argsort_rows(d.values, rows, order, sorted_counts)
             continue
+        sorted_counts[rows] = positions
         keys = d.values[rows].view(np.uint64) & high
         keys |= columns
         keys.sort(axis=1)
@@ -251,27 +254,37 @@ def build_ranks(d: DistanceMatrix) -> RankStructure:
         del keys
         clashing = np.flatnonzero(clash)
         if clashing.size:
-            _argsort_rows(d.values, clashing + rows.start, order, sorted_counts)
+            tie_free &= _argsort_rows(d.values, clashing + rows.start, order, sorted_counts)
         tie_heavy = 2 * clashing.size > clash.size
     order.flags.writeable = False
     sorted_counts.flags.writeable = False
-    return RankStructure(order=order, sorted_counts=sorted_counts, n=n)
+    ranks = RankStructure(order=order, sorted_counts=sorted_counts, n=n)
+    object.__setattr__(ranks, "tie_free", tie_free)
+    return ranks
 
 
-def _argsort_rows(values, rows, order, sorted_counts) -> None:
-    """Argsort ``rows`` into ``order`` and mark their tie-run ends in
-    ``sorted_counts``, which holds the positions ``1..n`` there."""
-    n = len(values)
+def _argsort_rows(values, rows, order, sorted_counts) -> bool:
+    """Argsort ``rows`` into ``order`` and their tie-run ends into
+    ``sorted_counts``; return whether every position ends its own run."""
     block = values[rows]
     order[rows] = np.argsort(block, axis=1)
-    sorted_d = np.sort(block, axis=1)
-    tied = sorted_d[:, 1:] == sorted_d[:, :-1]
-    del block, sorted_d
-    if tied.any():  # on tie-free rows the run ends are the positions already
-        counts = sorted_counts[rows]
-        np.copyto(counts[:, :-1], np.int32(n), where=tied)
-        np.minimum.accumulate(counts[:, ::-1], axis=1, out=counts[:, ::-1])
-        sorted_counts[rows] = counts
+    ends = _run_ends(np.sort(block, axis=1))
+    sorted_counts[rows] = ends
+    return bool((ends == np.arange(1, len(values) + 1, dtype=np.int32)).all())
+
+
+def _run_ends(sorted_rows: np.ndarray) -> np.ndarray:
+    """The 1-based end of each position's run of equal values along the
+    last axis, as int32; balls are closed, so every ball count is read at
+    a run end.  A position whose next value differs ends its run at its
+    position plus one; a reversed running minimum carries it back."""
+    size = sorted_rows.shape[-1]
+    ends = np.zeros(sorted_rows.shape, dtype=np.int32)
+    last = sorted_rows[..., 1:] != sorted_rows[..., :-1]
+    np.multiply(last, np.arange(1 - size, 0, dtype=np.int32), out=ends[..., :-1])
+    ends += np.int32(size)
+    np.minimum.accumulate(ends[..., ::-1], axis=-1, out=ends[..., ::-1])
+    return ends
 
 
 def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
@@ -282,7 +295,7 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     an int32 running count of its members along the sorted rows and
     reads it at every position's tie-run end: the count never falls
     along a row, so a reversed running minimum over the run ends reads
-    it.  When no row holds a tie, every position ends its run
+    it.  When ``ranks.tie_free``, every position ends its run
     (``sorted_counts`` is ``t + 1`` throughout), so that read, which
     would change nothing, is skipped, and every row subtracts the same
     ``(t + 1) / n``.  At a run end the class counts add up to
@@ -299,7 +312,7 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     blocks = _row_blocks(n, n)
     counts = ranks.sorted_counts
     positions = np.arange(1, n + 1, dtype=np.int32)
-    tied = not (counts == positions).all()
+    tied = not ranks.tie_free
     rest = counts
     if last:
         codes = labels.codes.astype(np.min_scalar_type(last))
@@ -332,24 +345,24 @@ def estimate_fast(ranks: RankStructure, labels: LabelVector) -> MddEstimate:
     )
 
 
-def _ball_counts(ranks: RankStructure) -> np.ndarray:
-    """The int16 ``U[i, k] = u_i[k] = #{j : d(i, j) >= d(i, k)}``.
+def _in_column_order(ranks: RankStructure, dtype, from_counts) -> np.ndarray:
+    """Scatter ``from_counts`` of each row block of ``sorted_counts``, read
+    right to left, to column order."""
+    out = np.empty((ranks.n, ranks.n), dtype=dtype)
+    for rows in _row_blocks(ranks.n, ranks.n):
+        values = from_counts(ranks.sorted_counts[rows, ::-1])
+        np.put_along_axis(out[rows], ranks.order[rows, ::-1], values, axis=1)
+    return out
 
-    In sorted order ``u_i`` is ``n`` minus the start of each position's
-    tie group.  A group starts where the count changes, and a running
-    maximum carries each start forward; one scatter per row block puts
-    the values back in column order.
-    """
-    n = ranks.n
-    u = np.empty((n, n), dtype=np.int16)
-    positions = np.arange(n, dtype=np.int32)
-    for rows in _row_blocks(n, n):
-        counts = ranks.sorted_counts[rows]
-        starts = np.zeros(counts.shape, dtype=np.int32)
-        np.copyto(starts[:, 1:], positions[1:], where=counts[:, 1:] != counts[:, :-1])
-        np.maximum.accumulate(starts, axis=1, out=starts)
-        np.put_along_axis(u[rows], ranks.order[rows], n - starts, axis=1)
-    return u
+
+def _ball_counts(ranks: RankStructure) -> np.ndarray:
+    """The int16 ``U[i, k] = u_i[k] = #{j : d(i, j) >= d(i, k)}``.  Read
+    right to left, a sorted row of ``sorted_counts`` has its runs end where
+    ``u_i``'s do, so ``u_i`` is their run ends, or ``n + 1`` minus the
+    counts without ties."""
+    if ranks.tie_free:
+        return _in_column_order(ranks, np.int16, lambda counts: ranks.n + 1 - counts)
+    return _in_column_order(ranks, np.int16, _run_ends)
 
 
 def _ball_kernel(ranks: RankStructure) -> np.ndarray:

@@ -28,7 +28,7 @@ from mddtest import (
     hhg_statistic_discrete,
     permutation_test,
 )
-from mddtest import metrics
+from mddtest import estimator, metrics
 from mddtest.estimator import (
     _TILE,
     _TILE_ROWS,
@@ -36,6 +36,7 @@ from mddtest.estimator import (
     _ball_counts,
     _ball_kernel,
     _class_forms,
+    _run_ends,
 )
 from mddtest.metrics import _row_blocks
 
@@ -360,10 +361,14 @@ def test_row_blocks_change_no_bit_on_tie_heavy_samples(points, chunk, data):
     )
 
 
-def ties_in_rows(tied_rows, n=400):
-    """Continuous distances where only ``tied_rows`` hold a tie: row ``i``
-    gets ``d(i, i + 2) = d(i, i + 1)``, a value every other row holds once."""
-    values = random_distances(np.random.default_rng(83), n).values.copy()
+def ties_in_rows(tied_rows, d=None):
+    """``d`` (by default continuous distances at n = 400) where only
+    ``tied_rows`` gain a tie: row ``i`` gets ``d(i, i + 2) = d(i, i + 1)``,
+    a value every other row holds once."""
+    if d is None:
+        d = random_distances(np.random.default_rng(83), 400)
+    values = d.values.copy()
+    n = d.n
     for i in tied_rows:
         values[i, (i + 2) % n] = values[(i + 2) % n, i] = values[i, (i + 1) % n]
     return DistanceMatrix(values)
@@ -456,6 +461,117 @@ def test_tie_free_rows_are_ranked_without_argsort():
         ranks = build_ranks(d)
     assert np.array_equal(ranks.order, expected.order)
     assert np.array_equal(ranks.sorted_counts, expected.sorted_counts)
+
+
+def run_ends_loop(values):
+    """Per-position oracle: walk right from each position while the next
+    value equals it."""
+    ends = np.empty(values.shape, dtype=np.int64)
+    for index in np.ndindex(values.shape[:-1]):
+        row = values[index]
+        for t in range(len(row)):
+            end = t
+            while end + 1 < len(row) and row[end + 1] == row[t]:
+                end += 1
+            ends[index + (t,)] = end + 1
+    return ends
+
+
+RUN_VALUES = {
+    np.int32: [0, 1, 2, 3],
+    np.int64: [-5, 0, 7],
+    np.float64: [0.0, -0.0, 1.0, 2.5, float(np.nextafter(2.5, 3.0))],
+}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    size=st.integers(1, 12),
+    dtype=st.sampled_from(sorted(RUN_VALUES, key=str)),
+    data=st.data(),
+)
+def test_run_ends_match_the_walk_to_each_run_end(batch, size, dtype, data):
+    shape = (*batch, size)
+    count = int(np.prod(shape))
+    draw = st.lists(st.sampled_from(RUN_VALUES[dtype]), min_size=count, max_size=count)
+    values = np.sort(np.array(data.draw(draw), dtype=dtype).reshape(shape), axis=-1)
+    # ascending rows, and the descending views _ball_counts reads
+    for rows in (values, values[..., ::-1]):
+        ends = _run_ends(rows)
+        assert ends.dtype == np.int32 and ends.shape == shape
+        assert np.array_equal(ends, run_ends_loop(rows))
+
+
+def test_run_ends_worked_rows():
+    assert _run_ends(np.array([[7]])).tolist() == [[1]]
+    assert _run_ends(np.full((2, 5), 2.5)).tolist() == [[5] * 5] * 2
+    assert _run_ends(np.array([0.0, -0.0, 1.0, 1.0, 3.0])).tolist() == [2, 2, 4, 4, 5]
+    batch = np.array([[[1, 1, 2], [0, 3, 3]], [[4, 4, 4], [5, 6, 7]]])
+    assert _run_ends(batch).tolist() == [[[2, 2, 3], [1, 3, 3]], [[3, 3, 3], [1, 2, 3]]]
+
+
+def clash_without_tie(n):
+    """Every off-diagonal distance distinct, from consecutive bit patterns:
+    within a row most of them are equal once their low
+    ``(n - 1).bit_length()`` bits are cleared, so most rows clash, but no
+    row ties."""
+    i, j = np.triu_indices(n, 1)
+    bits = np.zeros((n, n), dtype=np.uint64)
+    bits[i, j] = np.float64(1.0).view(np.uint64) + (i * n + j).astype(np.uint64)
+    return DistanceMatrix((bits + bits.T).view(np.float64))
+
+
+def test_tie_free_records_the_scan_of_the_counts():
+    n = 400  # row blocks of 327 and 73 rows
+    rng = np.random.default_rng(103)
+    later = range(331, 400, 17)
+    cases = {  # name: (distances, tie_free, a whole block took argsort)
+        "continuous": (random_distances(rng, n), True, False),
+        "integer grid": (random_distances(rng, n, ties=True), False, True),
+        "ties after the first block": (ties_in_rows(later), False, False),
+        "clash without tie": (clash_without_tie(n), True, True),
+        "clash, then ties after the first block": (
+            ties_in_rows(later, clash_without_tie(n)), False, True
+        ),
+    }
+    for name, (d, tie_free, tie_heavy) in cases.items():
+        sorted_rows = np.sort(d.values, axis=1)
+        has_tie = (sorted_rows[:, 1:] == sorted_rows[:, :-1]).any(axis=1)
+        if "after the first block" in name:
+            assert np.flatnonzero(has_tie).tolist() == list(later), name
+        with mock.patch.object(estimator, "_argsort_rows", wraps=estimator._argsort_rows) as spy:
+            ranks = build_ranks(d)
+        scan = bool((ranks.sorted_counts == np.arange(1, n + 1)).all())
+        assert ranks.tie_free == scan == tie_free == (not has_tie.any()), name
+        assert any(isinstance(c.args[1], slice) for c in spy.call_args_list) == tie_heavy, name
+        assert np.array_equal(ranks.sorted_counts, sorted_counts_loop(d.values)), name
+
+
+def test_tie_free_is_set_by_build_ranks_alone():
+    ranks = build_ranks(random_distances(np.random.default_rng(107), 12))
+    assert ranks.tie_free
+    assert not RankStructure(order=ranks.order, sorted_counts=ranks.sorted_counts, n=12).tie_free
+    with pytest.raises(TypeError):
+        RankStructure(order=ranks.order, sorted_counts=ranks.sorted_counts, n=12, tie_free=True)
+
+
+def test_tie_free_skips_give_the_bits_of_the_tie_path():
+    rng = np.random.default_rng(109)
+    for n in (3, 70, 400):
+        ranks = build_ranks(random_distances(rng, n))
+        by_hand = RankStructure(order=ranks.order, sorted_counts=ranks.sorted_counts, n=n)
+        assert ranks.tie_free and not by_hand.tie_free
+        labels = random_labels(rng, n, 3)
+        codings = np.stack([rng.permutation(labels.codes) for _ in range(5)])
+        assert estimate_fast(by_hand, labels) == estimate_fast(ranks, labels), n
+        for fn in (_ball_counts, _ball_kernel):
+            skipped, searched = fn(ranks), fn(by_hand)
+            assert skipped.dtype == searched.dtype, (n, fn)
+            assert skipped.tobytes() == searched.tobytes(), (n, fn)
+        skipped = hhg_statistic_discrete(ranks, codings, labels.counts)
+        searched = hhg_statistic_discrete(by_hand, codings, labels.counts)
+        assert skipped.tobytes() == searched.tobytes(), n
 
 
 def test_rank_build_and_estimate_hold_few_bytes_per_entry():

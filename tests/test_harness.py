@@ -31,7 +31,7 @@ from mddtest import (
     sphere_distances,
     unit_sphere_embedding,
 )
-from mddtest import harness
+from mddtest import cli, harness
 from mddtest.fileio import dump_json, grid_from_dict, read_preset
 from mddtest.harness import _cell_seeds, _run_replicate
 from mddtest.inference import _null_pvalues
@@ -178,6 +178,29 @@ def test_preset_replicate_pvalues_keep_their_recorded_bits():
             pvalues.append(sorted(_run_replicate((grid, i, 0)).items()))
     assert len(pvalues) == 105
     assert hashlib.sha256(repr(pvalues).encode()).hexdigest() == PRESET_PVALUES_SHA256
+
+
+# sha256 of `mddtest simulate --preset tableN --output tableN.json`, recorded at
+# 7890eb2.  The four full presets take about 4 minutes on 2 workers, so they
+# run only when MDDTEST_FULL_PRESETS is set, on one worker per usable CPU.
+FULL_PRESET_SHA256 = {
+    "table1": "96990b876993bea7ad47159a7d3e4161e9c36072cca0dd80eb39eb97daa29d95",
+    "table2": "d72937d281f006d28f11447d7f62e7b7bf6fb117634aa611481c55e0a1abe035",
+    "table3": "141e08564063999d46f015c37457d69bf5faead08b078dc50a6e645675a5026d",
+    "table4": "c6cb0ebbc4650cb88b014db53f1698b0ba9b0c77d35dba96eaa70649baa32dc2",
+}
+
+
+@pytest.mark.skipif(
+    not os.environ.get("MDDTEST_FULL_PRESETS"), reason="set MDDTEST_FULL_PRESETS=1 to run"
+)
+@pytest.mark.parametrize("name", sorted(FULL_PRESET_SHA256))
+def test_full_preset_reports_keep_their_recorded_sha256(name, tmp_path, capsys):
+    output = tmp_path / f"{name}.json"
+    threads = str(os.cpu_count())
+    argv = ["simulate", "--preset", name, "--output", str(output), "--threads", threads]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == FULL_PRESET_SHA256[name]
 
 
 def test_run_grid_is_deterministic_and_thread_invariant():
